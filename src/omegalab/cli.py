@@ -52,12 +52,15 @@ def _pos_int(text: str) -> int:
     return value
 
 
-def _rational(text: str) -> Fraction:
+def _parse_ratio(text: str) -> Fraction:
+    """'p/q' or a bare integer, exactly; raises ValueError or ZeroDivisionError."""
     numer, sep, denom = text.partition("/")
+    return Fraction(int(numer), int(denom)) if sep else Fraction(int(numer))
+
+
+def _rational(text: str) -> Fraction:
     try:
-        if sep:
-            return Fraction(int(numer), int(denom))
-        return Fraction(int(numer))
+        return _parse_ratio(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected an integer ratio 'p/q' (no decimals), got {text!r}"
@@ -79,12 +82,8 @@ def parse_points_file(path: str | Path) -> list[Fraction]:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        numer, sep, denom = stripped.partition("/")
         try:
-            if sep:
-                points.append(Fraction(int(numer), int(denom)))
-            else:
-                points.append(Fraction(int(numer)))
+            points.append(_parse_ratio(stripped))
         except (ValueError, ZeroDivisionError):
             raise UsageError(
                 f"{path}: line {num}: expected integer ratio 'p/q', got {stripped!r}"

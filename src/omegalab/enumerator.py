@@ -54,10 +54,11 @@ def bit_strings(length: int) -> Iterator[str]:
 def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[list[tuple[str, str, int]], list[str]]:
     """Classify bit strings of one length with indices in [lo, hi)."""
     length, lo, hi, budget = args
+    spec = f"0{length}b"
     records: list[tuple[str, str, int]] = []
     pending: list[str] = []
     for i in range(lo, hi):
-        bits = format(i, f"0{length}b")
+        bits = format(i, spec)
         try:
             outcome = run(bits, budget)
         except InvalidProgram:
@@ -183,12 +184,19 @@ def _is_bits(s: str) -> bool:
 
 
 def load(source: str | Path) -> EnumState:
-    """Read a checkpoint back; load(save(s)) == s."""
+    """Read a checkpoint back; load(save(s)) == s.
+
+    Besides the syntax, the records must fit their FRONTIER trailer: no
+    program listed twice (as H or P), none longer than the frontier length,
+    and no H record with more steps than the frontier budget. The offending
+    line is named. Records are not decoded or re-run here.
+    """
     lines = Path(source).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"line 1: expected header {CHECKPOINT_MAGIC!r}")
     records: set[HaltRecord] = set()
     pending: set[str] = set()
+    listed: set[str] = set()
     frontier: tuple[int, int] | None = None
     for num, line in enumerate(lines[1:], start=2):
         if frontier is not None:
@@ -203,17 +211,37 @@ def load(source: str | Path) -> EnumState:
                 raise CheckpointError(f"line {num}: malformed output field")
             if not fields[3].isdigit():
                 raise CheckpointError(f"line {num}: malformed step count")
-            records.add(HaltRecord(fields[1], "" if output == "-" else output, int(fields[3])))
         elif kind == "P":
             if len(fields) != 2 or not _is_bits(fields[1]):
                 raise CheckpointError(f"line {num}: malformed P record")
-            pending.add(fields[1])
         elif kind == "FRONTIER":
             if len(fields) != 3 or not fields[1].isdigit() or not fields[2].isdigit():
                 raise CheckpointError(f"line {num}: malformed FRONTIER trailer")
             frontier = (int(fields[1]), int(fields[2]))
+            continue
         else:
             raise CheckpointError(f"line {num}: unknown record type {kind!r}")
+        program = fields[1]
+        if program in listed:
+            raise CheckpointError(f"line {num}: program {program} listed twice")
+        listed.add(program)
+        if kind == "H":
+            records.add(HaltRecord(program, "" if output == "-" else output, int(fields[3])))
+        else:
+            pending.add(program)
     if frontier is None:
         raise CheckpointError(f"line {len(lines) + 1}: missing FRONTIER trailer")
-    return EnumState(frontier[0], frontier[1], frozenset(records), frozenset(pending))
+    max_len, budget = frontier
+    # The trailer comes last, so the records are checked against it in a
+    # second pass over the (now well-formed) record lines.
+    for num, line in enumerate(lines[1:-1], start=2):
+        fields = line.split(" ")
+        if len(fields[1]) > max_len:
+            raise CheckpointError(
+                f"line {num}: program {fields[1]} is longer than the FRONTIER length {max_len}"
+            )
+        if fields[0] == "H" and int(fields[3]) > budget:
+            raise CheckpointError(
+                f"line {num}: {int(fields[3])} steps exceed the FRONTIER budget {budget}"
+            )
+    return EnumState(max_len, budget, frozenset(records), frozenset(pending))

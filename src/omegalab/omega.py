@@ -8,11 +8,12 @@ flip any binary digit, so reports carry a standing not-settled caveat.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .enumerator import EnumState, HaltRecord
+from .enumerator import EnumState, HaltRecord, _length_lex
 
 
 class DuplicateProgram(ValueError):
@@ -39,18 +40,28 @@ def add_record(bound: OmegaBound, rec: HaltRecord) -> OmegaBound:
 
 
 def from_state(state: EnumState) -> OmegaBound:
-    """Fold a census into a bound; any fold order gives the same value."""
-    bound = empty_bound((state.max_len_done, state.budget))
-    for rec in sorted(state.records, key=lambda r: (len(r.program), r.program)):
-        bound = add_record(bound, rec)
-    return bound
+    """The bound of a whole census; equals folding its records with add_record.
+
+    Linear: one pass counts the programs of each length K, each length adds
+    count_K/2^K, and `contributing` is built once. A program credited twice
+    raises DuplicateProgram naming the smallest such program in length-lex
+    order, the one a fold in that order would meet first.
+    """
+    programs = [rec.program for rec in state.records]
+    contributing = frozenset(programs)
+    if len(contributing) != len(programs):
+        twice = [p for p, n in Counter(programs).items() if n > 1]
+        raise DuplicateProgram(min(twice, key=_length_lex))
+    per_length = Counter(len(p) for p in programs)
+    value = sum((Fraction(count, 2**k) for k, count in per_length.items()), start=Fraction(0))
+    return OmegaBound(value, contributing, (state.max_len_done, state.budget))
 
 
 def merge(a: OmegaBound, b: OmegaBound) -> OmegaBound:
     """Combine bounds built from disjoint censuses; equals folding the union."""
     overlap = a.contributing & b.contributing
     if overlap:
-        raise DuplicateProgram(min(overlap, key=lambda p: (len(p), p)))
+        raise DuplicateProgram(min(overlap, key=_length_lex))
     source = (max(a.source[0], b.source[0]), max(a.source[1], b.source[1]))
     return OmegaBound(a.value + b.value, a.contributing | b.contributing, source)
 
@@ -82,7 +93,7 @@ def kraft_check(records: Iterable[HaltRecord | str]) -> KraftResult:
     """Verify a census is prefix-free with total mass strictly below one."""
     programs = sorted(
         {r.program if isinstance(r, HaltRecord) else r for r in records},
-        key=lambda p: (len(p), p),
+        key=_length_lex,
     )
     mass = sum((Fraction(1, 2 ** len(p)) for p in programs), start=Fraction(0))
     members = set(programs)

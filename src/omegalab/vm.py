@@ -54,7 +54,10 @@ class InvalidProgram(ValueError):
     """Raised when a bit string is not a valid program."""
 
     def __init__(self, reason: InvalidReason):
-        super().__init__(reason.value)
+        # A census raises this for ~99% of its strings. `_value_` is the
+        # member's plain attribute: `.value` goes through a descriptor, and a
+        # dict keyed by the member pays for Enum.__hash__ in Python.
+        super().__init__(reason._value_)
         self.reason = reason
 
 
@@ -147,26 +150,10 @@ def _unzigzag(z: int) -> int:
     return z // 2 if z % 2 == 0 else -(z // 2) - 1
 
 
-def _decode_instruction(bits: str, pos: int) -> tuple[Instruction, int]:
-    if pos + 2 > len(bits):
-        raise InvalidProgram(InvalidReason.TRUNCATED)
-    two = bits[pos : pos + 2]
-    if two == "00":
-        return Instruction(Op.HALT), 2
-    if two == "01":
-        return Instruction(Op.EMIT0), 2
-    if two == "10":
-        return Instruction(Op.EMIT1), 2
-    if pos + 4 > len(bits):
-        raise InvalidProgram(InvalidReason.TRUNCATED)
-    four = bits[pos : pos + 4]
-    if four == "1100":
-        return Instruction(Op.INCA), 4
-    if four == "1101":
-        return Instruction(Op.INCB), 4
-    op = Op.DJZA if four == "1110" else Op.DJZB
-    z, used = gamma_decode(bits, pos + 4)
-    return Instruction(op, _unzigzag(z - 1)), 4 + used
+# The instructions without an operand, keyed by their opcode. Instructions
+# are frozen, so every decoded program can share these.
+_PLAIN = {code: Instruction(op) for op, code in _OPCODE.items() if op not in _JUMPS}
+_JUMP_OP = {"0": Op.DJZA, "1": Op.DJZB}  # the last bit of opcodes 1110 / 1111
 
 
 def decode(bits: str) -> Program:
@@ -175,17 +162,57 @@ def decode(bits: str) -> Program:
     Raises InvalidProgram with reason Truncated (bits ran out mid-decode),
     Leftover (bits remain after the counted instructions), or
     MalformedGamma (a self-delimiting integer could not be completed).
+
+    Two passes. The first only moves a position through the string and
+    raises at the first point where decoding fails, so the ~99% of strings
+    a census scan meets that are not programs build no objects. Only a
+    string that passes is walked again to build its instructions. A gamma
+    code starting at `start` whose first 1 is at `k` ends at
+    k + (k - start) + 1, as in gamma_decode.
     """
-    if any(c not in "01" for c in bits):
+    n = len(bits)
+    if bits.count("0") + bits.count("1") != n:
         raise ValueError("program bits must be '0'/'1' characters")
-    header, pos = gamma_decode(bits)
-    instructions = []
-    for _ in range(header - 1):
-        ins, used = _decode_instruction(bits, pos)
-        instructions.append(ins)
-        pos += used
-    if pos != len(bits):
+    k = bits.find("1")
+    body = 2 * k + 1
+    if k < 0 or body > n:
+        raise InvalidProgram(InvalidReason.MALFORMED_GAMMA)
+    count = int(bits[k:body], 2) - 1
+    pos = body
+    for _ in range(count):
+        if pos + 2 > n:
+            raise InvalidProgram(InvalidReason.TRUNCATED)
+        if bits[pos] == "0" or bits[pos + 1] == "0":  # 00 / 01 / 10
+            pos += 2
+        elif pos + 4 > n:
+            raise InvalidProgram(InvalidReason.TRUNCATED)
+        elif bits[pos + 2] == "0":  # 1100 / 1101
+            pos += 4
+        else:  # 1110 / 1111, then a gamma-coded offset
+            start = pos + 4
+            k = bits.find("1", start)
+            pos = 2 * k - start + 1
+            if k < 0 or pos > n:
+                raise InvalidProgram(InvalidReason.MALFORMED_GAMMA)
+    if pos != n:
         raise InvalidProgram(InvalidReason.LEFTOVER)
+
+    instructions = []
+    pos = body
+    for _ in range(count):
+        if bits[pos] == "0" or bits[pos + 1] == "0":
+            instructions.append(_PLAIN[bits[pos : pos + 2]])
+            pos += 2
+        elif bits[pos + 2] == "0":
+            instructions.append(_PLAIN[bits[pos : pos + 4]])
+            pos += 4
+        else:
+            start = pos + 4
+            k = bits.find("1", start)
+            end = 2 * k - start + 1
+            z = int(bits[k:end], 2)
+            instructions.append(Instruction(_JUMP_OP[bits[pos + 3]], _unzigzag(z - 1)))
+            pos = end
     return Program(bits, tuple(instructions))
 
 

@@ -53,6 +53,33 @@ def naive_decode(s):
     return prog
 
 
+def naive_reason(s):
+    """Why `s` is not a program, as the reason's text, or None when valid.
+
+    Reasons come in the order a left-to-right reader meets them: the header
+    or a jump offset cannot be completed ("MalformedGamma"), the bits run
+    out before an instruction's opcode does ("Truncated"), or bits remain
+    after the last counted instruction ("Leftover").
+    """
+    got = chew_gamma(s)
+    if got is None:
+        return "MalformedGamma"
+    header, rest = got
+    for _ in range(header - 1):
+        if len(rest) < 2 or (rest[:2] == "11" and len(rest) < 4):
+            return "Truncated"
+        if rest[:3] == "111":
+            got = chew_gamma(rest[4:])
+            if got is None:
+                return "MalformedGamma"
+            rest = got[1]
+        elif rest[:2] == "11":
+            rest = rest[4:]
+        else:
+            rest = rest[2:]
+    return "Leftover" if rest else None
+
+
 def naive_run(s, budget):
     """("halted", output, steps) or ("running",) or None for invalid."""
     prog = naive_decode(s)

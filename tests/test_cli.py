@@ -77,6 +77,30 @@ def test_omega_rejects_corrupt_checkpoint(tmp_path, capsys):
     assert "Kraft" in err
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ("H 1 - 0\nH 1 0 1\n", "line 3: program 1 listed twice"),
+        ("H 1 - 0\nP 1\n", "line 3: program 1 listed twice"),
+        ("H 1 - 0\nP 0100000\n", "line 3: program 0100000 is longer"),
+        ("H 1 - 0\nH 01001 0 11\n", "line 3: 11 steps exceed"),
+    ],
+)
+def test_checkpoint_records_must_fit_the_frontier(tmp_path, capsys, records, message):
+    ck = tmp_path / "c.ck"
+    ck.write_text(f"OMEGALAB v1\n{records}FRONTIER 5 10\n")
+    code, out, err = invoke(capsys, "omega", "--checkpoint", str(ck))
+    assert (code, out) == (2, "")
+    assert message in err and "Traceback" not in err
+    code, out, err = invoke(
+        capsys,
+        "enumerate", "--max-len", "6", "--budget", "10",
+        "--checkpoint", str(ck), "--resume",
+    )
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_omega_missing_checkpoint(tmp_path, capsys):
     code, _, err = invoke(capsys, "omega", "--checkpoint", str(tmp_path / "nope.ck"))
     assert code == 2

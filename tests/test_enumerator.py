@@ -180,6 +180,55 @@ def test_load_rejects_unknown_record(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [("H 1 - 0", "H 1 0 1"), ("H 1 - 0", "P 1"), ("P 01000", "P 01000"), ("P 1", "H 1 - 0")],
+)
+def test_load_rejects_program_listed_twice(tmp_path, first, second):
+    path = tmp_path / "bad.ck"
+    path.write_text(f"{CHECKPOINT_MAGIC}\n{first}\n{second}\nFRONTIER 5 10\n")
+    with pytest.raises(CheckpointError, match="line 3: .* listed twice"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ("H 01001 0 1", "line 3: program 01001 is longer than the FRONTIER length 4"),
+        ("P 01001", "line 3: program 01001 is longer than the FRONTIER length 4"),
+        ("H 0100 - 11", "line 3: 11 steps exceed the FRONTIER budget 10"),
+        ("H 0100 - 11\nP 01001", "line 3: 11 steps"),  # the first of two is named
+        ("P 01001\nH 0100 - 11", "line 3: program 01001 is longer"),
+    ],
+)
+def test_load_rejects_records_past_the_frontier(tmp_path, records, message):
+    path = tmp_path / "bad.ck"
+    path.write_text(f"{CHECKPOINT_MAGIC}\nH 1 - 0\n{records}\nFRONTIER 4 10\n")
+    with pytest.raises(CheckpointError, match=message):
+        load(path)
+
+
+def test_load_accepts_records_at_the_frontier(tmp_path):
+    path = tmp_path / "edge.ck"
+    path.write_text(f"{CHECKPOINT_MAGIC}\nH 01001 0 10\nP 01010\nFRONTIER 5 10\n")
+    state = load(path)
+    assert state.records == frozenset({HaltRecord("01001", "0", 10)})
+    assert state.pending == frozenset({"01010"})
+
+
+def test_load_does_not_decode(tmp_path, monkeypatch):
+    # A traced census counts every decode: loading must not add any.
+    import omegalab.vm
+
+    def refuse(bits):
+        raise AssertionError(f"load decoded {bits}")
+
+    path = tmp_path / "census.ck"
+    save(enumerate_programs(8, 100), path)
+    monkeypatch.setattr(omegalab.vm, "decode", refuse)
+    assert load(path).max_len_done == 8
+
+
 def test_parallel_enumeration_matches_serial():
     serial = enumerate_programs(7, 100)
     for workers in (2, 3):

@@ -1,9 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from omegalab.enumerator import HaltRecord, enumerate_programs
+from omegalab.enumerator import EnumState, HaltRecord, enumerate_programs
 from omegalab.omega import (
     DuplicateProgram,
     add_record,
@@ -41,6 +42,45 @@ def test_from_state_records_provenance():
     bound = from_state(enumerate_programs(5, 100))
     assert bound.source == (5, 100)
     assert bound.contributing == {"1", "01000", "01001", "01010"}
+
+
+def fold(state):
+    """The census folded record by record, the reference for from_state."""
+    bound = empty_bound((state.max_len_done, state.budget))
+    for rec in sorted(state.records, key=lambda r: (len(r.program), r.program)):
+        bound = add_record(bound, rec)
+    return bound
+
+
+def test_from_state_equals_the_record_fold():
+    state = enumerate_programs(10, 100)
+    assert from_state(state) == fold(state)
+    records = sorted(state.records, key=lambda r: r.program)
+    rng = random.Random(2002)
+    for _ in range(30):
+        subset = rng.sample(records, rng.randrange(len(records) + 1))
+        sub = EnumState(10, 100, frozenset(subset), frozenset())
+        assert from_state(sub) == fold(sub)
+
+
+def test_from_state_names_smallest_duplicate():
+    records = {
+        HaltRecord("01010", "1", 1),
+        HaltRecord("01010", "0", 1),
+        HaltRecord("01001", "0", 1),
+        HaltRecord("01001", "0", 2),
+        HaltRecord("1", "", 0),
+        # plain lex order would pick this longer one first
+        HaltRecord("0010001000101", "", 3),
+        HaltRecord("0010001000101", "", 4),
+    }
+    state = EnumState(13, 100, frozenset(records), frozenset())
+    with pytest.raises(DuplicateProgram) as err:
+        from_state(state)
+    assert err.value.args == ("01001",)
+    with pytest.raises(DuplicateProgram) as err:
+        fold(state)
+    assert err.value.args == ("01001",)
 
 
 def test_fold_order_is_irrelevant():

@@ -19,7 +19,7 @@ from omegalab.vm import (
     run,
 )
 
-from naive_vm import naive_decode, naive_run
+from naive_vm import naive_decode, naive_reason, naive_run
 
 
 def all_strings(max_len):
@@ -105,20 +105,75 @@ def test_decode_malformed_jump_offset():
 
 
 def test_decode_rejects_non_bit_characters():
-    with pytest.raises(ValueError):
-        decode("01x01")
+    for bad in ("01x01", " 1", "1\n", "2", "01001 "):
+        with pytest.raises(ValueError) as err:
+            decode(bad)
+        # InvalidProgram is a ValueError too; a non-bit string is not a verdict
+        assert not isinstance(err.value, InvalidProgram), repr(bad)
+
+
+def test_decode_empty_string_is_malformed_gamma():
+    with pytest.raises(InvalidProgram) as err:
+        decode("")
+    assert err.value.reason is InvalidReason.MALFORMED_GAMMA
+
+
+def test_invalid_program_message_is_the_reason_text():
+    for reason in InvalidReason:
+        assert str(InvalidProgram(reason)) == reason.value
+
+
+def as_naive(ins):
+    """An Instruction in naive_decode's tuple form."""
+    if ins.op is Op.HALT:
+        return ("halt",)
+    if ins.op in (Op.EMIT0, Op.EMIT1):
+        return ("emit", "0" if ins.op is Op.EMIT0 else "1")
+    if ins.op in (Op.INCA, Op.INCB):
+        return ("inc", "a" if ins.op is Op.INCA else "b")
+    return ("djz", "a" if ins.op is Op.DJZA else "b", ins.offset)
 
 
 def test_decode_matches_naive_oracle_exhaustively():
-    for bits in all_strings(12):
+    for bits in all_strings(14):
         theirs = naive_decode(bits)
         try:
             ours = decode(bits)
-        except InvalidProgram:
+        except InvalidProgram as err:
             assert theirs is None, bits
+            assert err.reason.value == naive_reason(bits), bits
             continue
         assert theirs is not None, bits
-        assert len(ours.instructions) == len(theirs)
+        assert naive_reason(bits) is None, bits
+        assert [as_naive(ins) for ins in ours.instructions] == theirs, bits
+        assert ours.bits == bits
+
+
+def test_decode_matches_naive_oracle_on_mutated_long_programs():
+    # Programs past the exhaustive sweep, then one bit flipped, bits cut off
+    # or bits appended: near-misses reach every reason deep in the string.
+    rng = random.Random(20020611)
+    for _ in range(3000):
+        instructions = [
+            Instruction(op, rng.randrange(-9, 10) if op in (Op.DJZA, Op.DJZB) else None)
+            for op in rng.choices(list(Op), k=rng.randrange(0, 9))
+        ]
+        bits = assemble(instructions).bits
+        cut = rng.randrange(len(bits))
+        bits = rng.choice(
+            [
+                bits,
+                bits[:cut] + "10"[int(bits[cut])] + bits[cut + 1 :],
+                bits[:cut],
+                bits + "".join(rng.choice("01") for _ in range(rng.randrange(1, 6))),
+            ]
+        )
+        try:
+            ours = [as_naive(ins) for ins in decode(bits).instructions]
+        except InvalidProgram as err:
+            assert err.reason.value == naive_reason(bits), bits
+            continue
+        assert ours == naive_decode(bits), bits
 
 
 def test_valid_set_of_short_strings():
