@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumerator import bit_strings
-from .vm import Halted, InvalidProgram, detect_loop, literal_program, run
+from .vm import Halted, Running, classify, literal_program, programs
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,12 @@ def find_elegant(target: str, max_len: int, budget: int) -> ElegantVerdict | Non
     for length in range(1, max_len + 1):
         witnesses: list[str] = []
         unresolved_here: list[str] = []
-        for bits in bit_strings(length):
-            try:
-                outcome = run(bits, budget)
-            except InvalidProgram:
-                continue
+        for bits in programs(length):
+            outcome = classify(bits, budget)
             if isinstance(outcome, Halted):
                 if outcome.output == target:
                     witnesses.append(bits)
-            elif detect_loop(bits, budget) is None:
+            elif isinstance(outcome, Running):
                 unresolved_here.append(bits)
         if witnesses:
             # unresolved holds only strictly shorter programs at this point
@@ -68,25 +64,16 @@ def find_elegant(target: str, max_len: int, budget: int) -> ElegantVerdict | Non
 def compression_report(facts: str, max_len: int, budget: int) -> CompressionReport:
     """Best discovered producer of `facts` against the literal baseline.
 
-    The literal program is always tried, so best_bits <= baseline_bits
-    and the ratio never exceeds one.
+    The best is the first shortest producer `find_elegant` finds below the
+    literal program's length. The literal program is always tried, so
+    best_bits <= baseline_bits and the ratio never exceeds one.
     """
-    baseline_program = literal_program(facts)
-    baseline = len(baseline_program)
-    best_program = baseline_program
-    for length in range(1, min(max_len, baseline - 1) + 1):
-        found = None
-        for bits in bit_strings(length):
-            try:
-                outcome = run(bits, budget)
-            except InvalidProgram:
-                continue
-            if isinstance(outcome, Halted) and outcome.output == facts:
-                found = bits
-                break
-        if found is not None:
-            best_program = found
-            break
+    best_program = literal_program(facts)
+    baseline = len(best_program)
+    limit = min(max_len, baseline - 1)
+    verdict = find_elegant(facts, limit, budget) if limit >= 1 else None
+    if verdict is not None:
+        best_program = verdict.witnesses[0]
     return CompressionReport(
         facts, baseline, len(best_program), Fraction(len(best_program), baseline), best_program
     )

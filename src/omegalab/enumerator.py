@@ -7,6 +7,10 @@ later, larger budget only re-runs them (refine) instead of re-scanning the
 whole tree. States checkpoint to a line-oriented ASCII file with atomic
 writes, and scanning may be partitioned over worker processes by disjoint
 bit-string ranges without changing the result.
+
+The scan still decodes every bit string instead of walking `vm.programs`:
+the benchmark's traced census (`check_trace` in perfbench/run.py) requires
+`vm.decode` calls = strings scanned = 2^(L+1) - 2.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .vm import Halted, InvalidProgram, run
 
@@ -40,15 +44,6 @@ class EnumState:
 
 class CheckpointError(ValueError):
     """A checkpoint file that cannot be trusted; the message names the line."""
-
-
-def bit_strings(length: int) -> Iterator[str]:
-    """All bit strings of `length` in lexicographic order ('0' < '1')."""
-    if length == 0:
-        yield ""
-        return
-    for i in range(1 << length):
-        yield format(i, f"0{length}b")
 
 
 def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[list[tuple[str, str, int]], list[str]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .vm import Halted, InvalidProgram, decode, detect_loop, run, stream_output
+from .vm import Halted, InvalidProgram, LoopCert, classify, decode, stream_output
 
 BITS_PER_DIGIT = 4
 
@@ -171,14 +171,14 @@ def _parse_pred(text: str) -> tuple[tuple[str, ...], int] | None:
 def _answer(pred: tuple[str, ...], budget: int) -> int:
     program = pred[1]
     try:
-        outcome = run(program, budget)
+        outcome = classify(program, budget)
     except InvalidProgram:
         return 3  # not a program at all: it certainly never halts or outputs
     if isinstance(outcome, Halted):
         if pred[0] == "H":
             return 4
         return 4 if outcome.output == pred[2] else 3
-    return 3 if detect_loop(program, budget) is not None else 2
+    return 3 if isinstance(outcome, LoopCert) else 2
 
 
 def classify_text(text: str, budget: int) -> int:

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .enumerator import bit_strings
-from .vm import Halted, InvalidProgram, decode, detect_loop, run
+from .vm import Halted, InvalidProgram, LoopCert, classify, programs
 
 KINDS = ("halts", "outputs", "loops", "elegant")
 FACT_KINDS = ("halts", "outputs", "loops")
@@ -117,10 +116,10 @@ def certify_run_axioms(program: str, budget: int) -> list[Statement]:
     Halting within the budget yields its halts and outputs facts; a loop
     certificate yields its loops fact; otherwise nothing can be asserted.
     """
-    outcome = run(program, budget)
+    outcome = classify(program, budget)
     if isinstance(outcome, Halted):
         return [Statement("halts", program), Statement("outputs", program, outcome.output)]
-    if detect_loop(program, budget) is not None:
+    if isinstance(outcome, LoopCert):
         return [Statement("loops", program)]
     return []
 
@@ -129,15 +128,15 @@ def _certify_fact(fact: Statement, budget: int) -> None:
     if fact.kind not in FACT_KINDS:
         raise UncertifiableFact(f"{fact.canonical()}: facts are limited to halts/outputs/loops")
     try:
-        if fact.kind == "loops":
-            if detect_loop(fact.program, budget) is None:
-                raise UncertifiableFact(
-                    f"{fact.canonical()}: no loop certificate within {budget} steps"
-                )
-            return
-        outcome = run(fact.program, budget)
+        outcome = classify(fact.program, budget)
     except InvalidProgram as exc:
         raise UncertifiableFact(f"{fact.canonical()}: invalid program ({exc})") from exc
+    if fact.kind == "loops":
+        if not isinstance(outcome, LoopCert):
+            raise UncertifiableFact(
+                f"{fact.canonical()}: no loop certificate within {budget} steps"
+            )
+        return
     if not isinstance(outcome, Halted):
         raise UncertifiableFact(f"{fact.canonical()}: still running after {budget} steps")
     if fact.kind == "outputs" and outcome.output != fact.output:
@@ -190,27 +189,9 @@ class Unprovable:
 def shorter_valid_programs(length: int) -> list[str]:
     """Every valid program of fewer than `length` bits, length-lex order.
 
-    Purely syntactic: candidates come from decoding, never from running.
+    Purely syntactic: candidates come from the grammar, never from running.
     """
-    found: list[str] = []
-    for n in range(1, length):
-        for bits in bit_strings(n):
-            try:
-                decode(bits)
-            except InvalidProgram:
-                continue
-            found.append(bits)
-    return found
-
-
-def _classifier(facts: tuple[Statement, ...], q: str, output: str) -> Statement | None:
-    loops = Statement("loops", q)
-    if loops in facts:
-        return loops
-    for fact in facts:
-        if fact.kind == "outputs" and fact.program == q and fact.output != output:
-            return fact
-    return None
+    return [bits for n in range(1, length) for bits in programs(n)]
 
 
 def prove(theory: Theory, goal: Statement) -> Proof | Unprovable:
@@ -231,10 +212,16 @@ def prove(theory: Theory, goal: Statement) -> Proof | Unprovable:
     base = next((f for f in facts if f.kind == "outputs" and f.program == p), None)
     if base is None:
         return Unprovable(goal, (p,))
+    # Each program's premise, indexed once: its loops fact, else its first
+    # outputs fact (in theory order) whose output differs from p's.
+    sides = {
+        f.program: f for f in reversed(facts) if f.kind == "outputs" and f.output != base.output
+    }
+    sides.update((f.program, f) for f in facts if f.kind == "loops")
     premises = [base]
     missing: list[str] = []
     for q in shorter_valid_programs(len(p)):
-        side = _classifier(facts, q, base.output)
+        side = sides.get(q)
         if side is None:
             missing.append(q)
         else:

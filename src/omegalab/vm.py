@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 __all__ = [
     "InvalidProgram",
@@ -39,7 +40,9 @@ __all__ = [
     "run",
     "execute",
     "stream_output",
+    "classify",
     "detect_loop",
+    "programs",
     "literal_program",
 ]
 
@@ -231,71 +234,68 @@ def assemble(instructions) -> Program:
     return Program(encode_instructions(instructions), instructions)
 
 
-def _apply(
-    ins: Instruction, pc: int, a: int, b: int, n: int
-) -> tuple[int, int, int, str | None, bool]:
-    """One machine step; returns (pc, a, b, emitted bit, halted)."""
-    op = ins.op
-    if op is Op.HALT:
-        return pc, a, b, None, True
-    emit = None
-    if op is Op.EMIT0:
-        emit = "0"
-        pc += 1
-    elif op is Op.EMIT1:
-        emit = "1"
-        pc += 1
-    elif op is Op.INCA:
-        a += 1
-        pc += 1
-    elif op is Op.INCB:
-        b += 1
-        pc += 1
-    elif op is Op.DJZA:
-        if a == 0:
+def _run_machine(
+    program: Program,
+    budget: int,
+    want_bits: int | None = None,
+    seen: set[tuple[int, int, int]] | None = None,
+) -> tuple[bool, str, int, tuple[int, int, int] | None]:
+    """The machine's one step loop.
+
+    Steps until HALT or fall-off, the budget, `want_bits` output bits, or,
+    given a `seen` set, the first revisit of a control state (pc, A, B).
+    Returns (halted, output, steps, revisited state or None).
+    """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    code = program.instructions
+    n = len(code)
+    pc = a = b = steps = 0
+    out: list[str] = []
+    if seen is not None:
+        seen.add((0, 0, 0))
+    while True:
+        if not 0 <= pc < n:
+            return True, "".join(out), steps, None
+        if steps >= budget or (want_bits is not None and len(out) >= want_bits):
+            return False, "".join(out), steps, None
+        ins = code[pc]
+        op = ins.op
+        steps += 1
+        if op is Op.HALT:
+            return True, "".join(out), steps, None
+        if op is Op.EMIT0:
+            out.append("0")
+            pc += 1
+        elif op is Op.EMIT1:
+            out.append("1")
+            pc += 1
+        elif op is Op.INCA:
+            a += 1
+            pc += 1
+        elif op is Op.INCB:
+            b += 1
+            pc += 1
+        elif op is Op.DJZA and a:
+            a -= 1
+            pc += 1
+        elif op is Op.DJZB and b:
+            b -= 1
+            pc += 1
+        else:  # DJZA / DJZB on a zero counter: jump
             pc += 1 + ins.offset
             if not 0 <= pc <= n:
                 pc = n  # out-of-range jump targets mean "past the end"
-        else:
-            a -= 1
-            pc += 1
-    else:  # DJZB
-        if b == 0:
-            pc += 1 + ins.offset
-            if not 0 <= pc <= n:
-                pc = n
-        else:
-            b -= 1
-            pc += 1
-    return pc, a, b, emit, False
-
-
-def _run_machine(
-    program: Program, budget: int, want_bits: int | None = None
-) -> tuple[bool, str, int]:
-    """Step until HALT/fall-off, the budget, or `want_bits` output bits."""
-    n = len(program.instructions)
-    pc = a = b = steps = 0
-    out: list[str] = []
-    while True:
-        if not 0 <= pc < n:
-            return True, "".join(out), steps
-        if want_bits is not None and len(out) >= want_bits:
-            return False, "".join(out), steps
-        if steps >= budget:
-            return False, "".join(out), steps
-        pc, a, b, emitted, halted = _apply(program.instructions[pc], pc, a, b, n)
-        steps += 1
-        if halted:
-            return True, "".join(out), steps
-        if emitted is not None:
-            out.append(emitted)
+        if seen is not None:
+            state = (pc, a, b)
+            if state in seen:
+                return False, "".join(out), steps, state
+            seen.add(state)
 
 
 def execute(program: Program, budget: int) -> Halted | Running:
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    halted, out, steps = _run_machine(program, budget)
+    # No seen set: it would hold up to `budget` states per pending program.
+    halted, out, steps, _ = _run_machine(program, budget)
     return Halted(out, steps) if halted else Running(budget)
 
 
@@ -315,33 +315,60 @@ def stream_output(program: Program, budget: int, want_bits: int) -> str:
     The result is shorter than `want_bits` when the program halts or the
     budget runs out first.
     """
-    _, out, _ = _run_machine(program, budget, want_bits)
+    _, out, _, _ = _run_machine(program, budget, want_bits)
     return out[:want_bits]
 
 
-def detect_loop(bits: str, budget: int) -> LoopCert | None:
-    """Simulate up to `budget` steps, certifying the first state revisit.
+def classify(bits: str, budget: int) -> Halted | LoopCert | Running:
+    """Halted as `run` says, else the first state revisit within `budget`
+    steps as a LoopCert, else Running(budget); one simulation.
 
     Output emission does not touch the control state (pc, A, B), so a
     revisit makes the deterministic machine repeat forever: a sound
-    non-halting certificate. Returns None when the program halts or no
-    revisit shows up within the budget.
+    non-halting certificate. The set of visited states grows by one per
+    step, so memory grows with the budget for a program that keeps running.
     """
-    program = decode(bits)
-    n = len(program.instructions)
-    pc = a = b = 0
-    seen = {(0, 0, 0)}
-    for step in range(1, budget + 1):
-        if not 0 <= pc < n:
-            return None
-        pc, a, b, _, halted = _apply(program.instructions[pc], pc, a, b, n)
-        if halted:
-            return None
-        state = (pc, a, b)
-        if state in seen:
-            return LoopCert(bits, step, state)
-        seen.add(state)
-    return None
+    halted, out, steps, state = _run_machine(decode(bits), budget, seen=set())
+    if halted:
+        return Halted(out, steps)
+    if state is not None:
+        return LoopCert(bits, steps, state)
+    return Running(budget)
+
+
+def detect_loop(bits: str, budget: int) -> LoopCert | None:
+    """The loop certificate `classify` finds within `budget` steps, or None
+    when the program halts or no state revisit shows up in time."""
+    outcome = classify(bits, budget)
+    return outcome if isinstance(outcome, LoopCert) else None
+
+
+def programs(length: int) -> Iterator[str]:
+    """Every valid program of exactly `length` bits, in lexicographic order.
+
+    Built from the grammar, not by decoding all 2^length strings. Headers
+    and codewords are each prefix-free codes, so trying the choices at each
+    position in lexicographic order yields the programs in that order.
+    """
+    words = [code for op, code in _OPCODE.items() if op not in _JUMPS]
+    z = 1
+    while len(_OPCODE[Op.DJZA] + gamma_encode(z)) <= length:
+        words.extend(_OPCODE[op] + gamma_encode(z) for op in _JUMPS)
+        z += 1
+    words.sort()
+    fits = [[w for w in words if len(w) <= room] for room in range(length + 1)]
+
+    def body(prefix: str, count: int, room: int) -> Iterator[str]:
+        # `count` more codewords in exactly `room` bits; each takes >= 2
+        if count == 0:
+            if room == 0:
+                yield prefix
+        elif room >= 2 * count:
+            for w in fits[room - 2 * (count - 1)]:
+                yield from body(prefix + w, count - 1, room - len(w))
+
+    for header in sorted(gamma_encode(m) for m in range(1, length // 2 + 2)):
+        yield from body(header, int(header, 2) - 1, length - len(header))
 
 
 def literal_program(s: str) -> str:

@@ -112,6 +112,36 @@ def naive_run(s, budget):
     return ("halted", out, t)
 
 
+def naive_loop(s, budget):
+    """The first repeated control state within `budget` steps, as
+    (step, (pc, a, b)), or None when `s` halts or no state repeats in time."""
+    prog = naive_decode(s)
+    pc, a, b = 0, 0, 0
+    visited = {(pc, a, b)}
+    for t in range(1, budget + 1):
+        if not 0 <= pc < len(prog) or prog[pc][0] == "halt":
+            return None
+        ins = prog[pc]
+        if ins[0] == "emit":
+            pc += 1
+        elif ins[0] == "inc":
+            a, b = (a + 1, b) if ins[1] == "a" else (a, b + 1)
+            pc += 1
+        else:
+            counter = a if ins[1] == "a" else b
+            if counter == 0:
+                pc = pc + 1 + ins[2]
+                if pc < 0 or pc > len(prog):
+                    pc = len(prog)
+            else:
+                a, b = (a - 1, b) if ins[1] == "a" else (a, b - 1)
+                pc += 1
+        if (pc, a, b) in visited:
+            return t, (pc, a, b)
+        visited.add((pc, a, b))
+    return None
+
+
 def all_strings_upto(max_len):
     for length in range(1, max_len + 1):
         for i in range(2**length):

@@ -4,18 +4,16 @@ from fractions import Fraction
 import pytest
 
 from omegalab.elegant import compression_report, find_elegant
-from omegalab.enumerator import bit_strings
-from omegalab.vm import Halted, InvalidProgram, literal_program, run
+from omegalab.vm import Halted, literal_program, run
+
+from naive_vm import all_strings_upto, naive_run
 
 
 def producers_at_length(target, length, budget):
     found = []
-    for bits in bit_strings(length):
-        try:
-            outcome = run(bits, budget)
-        except InvalidProgram:
-            continue
-        if isinstance(outcome, Halted) and outcome.output == target:
+    for bits in all_strings_upto(length):
+        result = naive_run(bits, budget) if len(bits) == length else None
+        if result is not None and result[:2] == ("halted", target):
             found.append(bits)
     return found
 

@@ -5,7 +5,6 @@ from omegalab.enumerator import (
     CheckpointError,
     EnumState,
     HaltRecord,
-    bit_strings,
     enumerate_programs,
     extend,
     load,
@@ -23,11 +22,6 @@ H 01001 0 1
 H 01010 1 1
 FRONTIER 5 100
 """
-
-
-def test_bit_strings_order():
-    assert list(bit_strings(2)) == ["00", "01", "10", "11"]
-    assert list(bit_strings(0)) == [""]
 
 
 def test_enumerate_small_census():

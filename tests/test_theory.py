@@ -171,6 +171,27 @@ def test_elegance_with_one_shorter_program():
     assert Statement("outputs", "1", "") in proof.premises
 
 
+def test_premise_choice_follows_theory_order():
+    # A raw theory may state several outputs for one program. The base is
+    # the goal's first outputs fact; a shorter program's premise is its
+    # loops fact, else its first outputs fact with a different output.
+    base = Statement("outputs", "01001", "0")
+    theory = Theory(
+        (
+            base,
+            Statement("outputs", "1", "0"),
+            Statement("outputs", "1", "1"),
+            Statement("outputs", "1", ""),
+            Statement("outputs", "01001", "1"),
+        )
+    )
+    proof = prove(theory, Statement("elegant", "01001"))
+    assert proof.premises == (base, Statement("outputs", "1", "1"))
+    theory = Theory(theory.facts + (Statement("loops", "1"),))
+    proof = prove(theory, Statement("elegant", "01001"))
+    assert proof.premises == (base, Statement("loops", "1"))
+
+
 def test_unprovable_elegance_lists_missing_programs():
     theory = Theory((Statement("outputs", "01001", "0"),))
     result = prove(theory, Statement("elegant", "01001"))

@@ -7,19 +7,23 @@ from omegalab.vm import (
     Instruction,
     InvalidProgram,
     InvalidReason,
+    LoopCert,
     Op,
     Running,
     assemble,
+    classify,
     decode,
     detect_loop,
     encode_instructions,
     gamma_decode,
     gamma_encode,
     literal_program,
+    programs,
     run,
+    stream_output,
 )
 
-from naive_vm import naive_decode, naive_reason, naive_run
+from naive_vm import naive_decode, naive_loop, naive_reason, naive_run
 
 
 def all_strings(max_len):
@@ -176,6 +180,13 @@ def test_decode_matches_naive_oracle_on_mutated_long_programs():
         assert ours == naive_decode(bits), bits
 
 
+def test_programs_match_the_brute_force_filter():
+    for length in range(17):
+        strings = (format(i, f"0{length}b") for i in range(2**length)) if length else [""]
+        want = [bits for bits in strings if naive_decode(bits) is not None]
+        assert list(programs(length)) == want, length
+
+
 def test_valid_set_of_short_strings():
     valid = {p.bits for p in valid_programs(5)}
     assert valid == {"1", "01000", "01001", "01010"}
@@ -329,3 +340,52 @@ def test_counter_growth_defeats_loop_detection():
     assert runner.bits == "0111100111100100"
     assert detect_loop(runner.bits, 2000) is None
     assert run(runner.bits, 2000) == Running(2000)
+
+
+# --- classify: one simulation -----------------------------------------------
+
+
+def reference_classify(bits, budget):
+    """What classify must say, from the oracle: its run, then its loop search."""
+    result = naive_run(bits, budget)
+    if result[0] == "halted":
+        return Halted(result[1], result[2])
+    loop = naive_loop(bits, budget)
+    return Running(budget) if loop is None else LoopCert(bits, *loop)
+
+
+def test_classify_matches_oracle_exhaustively():
+    for program in valid_programs(12):
+        for budget in (0, 1, 2, 5, 50):
+            assert classify(program.bits, budget) == reference_classify(program.bits, budget)
+
+
+def test_classify_matches_oracle_on_random_programs():
+    rng = random.Random(20050503)
+    for _ in range(2000):
+        instructions = [
+            Instruction(op, rng.randrange(-9, 10) if op in (Op.DJZA, Op.DJZB) else None)
+            for op in rng.choices(list(Op), k=rng.randrange(0, 9))
+        ]
+        bits = assemble(instructions).bits
+        assert classify(bits, 500) == reference_classify(bits, 500), bits
+
+
+def test_classify_halts_by_fall_off_at_exactly_the_budget():
+    # three EMITs fall off the end after three steps: halted at budget 3
+    bits = literal_program("010")
+    assert classify(bits, 3) == Halted("010", 3)
+    assert classify(bits, 2) == Running(2)
+
+
+def test_classify_leaves_counter_growth_running():
+    runner = assemble([Instruction(Op.INCA), Instruction(Op.DJZB, -2)])
+    assert classify(runner.bits, 2000) == Running(2000)
+
+
+def test_every_simulation_rejects_a_negative_budget():
+    for simulate in (run, detect_loop, classify):
+        with pytest.raises(ValueError, match="budget"):
+            simulate("0101110010", -1)
+    with pytest.raises(ValueError, match="budget"):
+        stream_output(decode("0101110010"), -1, 1)
