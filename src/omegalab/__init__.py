@@ -17,14 +17,13 @@ from .enumerator import (
     refine,
     save,
 )
-from .omega import OmegaBound, add_record, binary_expansion, from_state, kraft_check
+from .omega import OmegaBound, binary_expansion, from_state, kraft_check
 from .reals import (
     CoverReport,
     DiagonalReal,
     DigitStream,
     borel_cover,
-    borel_digit,
-    borel_string,
+    borel_strings,
     diagonal,
     digit_at,
 )

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from . import elegant, enumerator, omega, reals, theory, vm
@@ -71,39 +72,41 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_points_file(path: str | Path) -> list[Fraction]:
-    """One 'p/q' (or bare integer) per line; '#' comments; decimals rejected."""
+def _data_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line of an ASCII file that is
+    neither blank nor a '#' comment."""
     try:
         text = Path(path).read_text(encoding="ascii")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+    return [
+        (num, stripped)
+        for num, line in enumerate(text.splitlines(), start=1)
+        if (stripped := line.strip()) and not stripped.startswith("#")
+    ]
+
+
+def parse_points_file(path: str | Path) -> list[Fraction]:
+    """One 'p/q' (or bare integer) per line; '#' comments; decimals rejected."""
     points: list[Fraction] = []
-    for num, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for num, text in _data_lines(path):
         try:
-            points.append(_parse_ratio(stripped))
+            points.append(_parse_ratio(text))
         except (ValueError, ZeroDivisionError):
             raise UsageError(
-                f"{path}: line {num}: expected integer ratio 'p/q', got {stripped!r}"
+                f"{path}: line {num}: expected integer ratio 'p/q', got {text!r}"
             ) from None
     return points
 
 
 def _read_programs_file(path: str | Path) -> list[str]:
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
     programs: list[str] = []
-    for num, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if any(c not in "01" for c in stripped):
-            raise UsageError(f"{path}: line {num}: expected a bit string, got {stripped!r}")
-        programs.append(stripped)
+    for num, text in _data_lines(path):
+        if any(c not in "01" for c in text):
+            raise UsageError(f"{path}: line {num}: expected a bit string, got {text!r}")
+        programs.append(text)
     return programs
 
 
@@ -130,7 +133,7 @@ def _load_checkpoint(path: str) -> enumerator.EnumState:
         return enumerator.load(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except enumerator.CheckpointError as exc:
+    except (enumerator.CheckpointError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
@@ -260,11 +263,13 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_borel(args: argparse.Namespace) -> int:
-    lines = []
-    for k in range(1, args.prefix + 1):
-        text = reals.borel_string(k)
-        lines.append(f"{k} {text} {reals.classify_text(text, args.budget)}")
-    _emit(lines)
+    strings = islice(reals.borel_strings(), args.prefix)
+    _emit(
+        [
+            f"{k} {text} {reals.classify_text(text, args.budget)}"
+            for k, text in enumerate(strings, start=1)
+        ]
+    )
     return EXIT_OK
 
 
@@ -273,7 +278,7 @@ def _load_theory(path: str, budget: int) -> theory.Theory:
         return theory.load_theory(path, budget)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except (theory.TheoryFileError, theory.UncertifiableFact) as exc:
+    except (theory.TheoryFileError, theory.UncertifiableFact, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 

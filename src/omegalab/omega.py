@@ -23,47 +23,23 @@ class DuplicateProgram(ValueError):
 @dataclass(frozen=True)
 class OmegaBound:
     value: Fraction
-    contributing: frozenset[str]
     source: tuple[int, int]  # (max_len, budget) provenance of the census
 
 
-def empty_bound(source: tuple[int, int] = (0, 0)) -> OmegaBound:
-    return OmegaBound(Fraction(0), frozenset(), source)
-
-
-def add_record(bound: OmegaBound, rec: HaltRecord) -> OmegaBound:
-    """Credit one halting program: a K-bit program adds exactly 1/2^K."""
-    if rec.program in bound.contributing:
-        raise DuplicateProgram(rec.program)
-    share = Fraction(1, 2 ** len(rec.program))
-    return OmegaBound(bound.value + share, bound.contributing | {rec.program}, bound.source)
-
-
 def from_state(state: EnumState) -> OmegaBound:
-    """The bound of a whole census; equals folding its records with add_record.
+    """The bound of a whole census: each K-bit halting program adds 1/2^K.
 
-    Linear: one pass counts the programs of each length K, each length adds
-    count_K/2^K, and `contributing` is built once. A program credited twice
-    raises DuplicateProgram naming the smallest such program in length-lex
-    order, the one a fold in that order would meet first.
+    Linear: one pass counts the programs of each length K, and each length
+    adds count_K/2^K. A program credited twice raises DuplicateProgram
+    naming the smallest such program in length-lex order.
     """
     programs = [rec.program for rec in state.records]
-    contributing = frozenset(programs)
-    if len(contributing) != len(programs):
+    if len(set(programs)) != len(programs):
         twice = [p for p, n in Counter(programs).items() if n > 1]
         raise DuplicateProgram(min(twice, key=_length_lex))
     per_length = Counter(len(p) for p in programs)
     value = sum((Fraction(count, 2**k) for k, count in per_length.items()), start=Fraction(0))
-    return OmegaBound(value, contributing, (state.max_len_done, state.budget))
-
-
-def merge(a: OmegaBound, b: OmegaBound) -> OmegaBound:
-    """Combine bounds built from disjoint censuses; equals folding the union."""
-    overlap = a.contributing & b.contributing
-    if overlap:
-        raise DuplicateProgram(min(overlap, key=_length_lex))
-    source = (max(a.source[0], b.source[0]), max(a.source[1], b.source[1]))
-    return OmegaBound(a.value + b.value, a.contributing | b.contributing, source)
+    return OmegaBound(value, (state.max_len_done, state.budget))
 
 
 def binary_expansion(bound: OmegaBound, k: int) -> str:

@@ -13,15 +13,21 @@ classify every string of a tiny question language about programs, with
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import count, product
+from typing import Iterator, Sequence
 
 from .vm import Halted, InvalidProgram, LoopCert, classify, decode, stream_output
 
 BITS_PER_DIGIT = 4
 
 BOREL_ALPHABET = ("H", "O", "(", ")", ",", ".", "?", "0", "1", "e")
+
+# The question language: "H(p)" and "O(p,s)" closed by "?" (a question) or
+# "." (a statement), where each bit string is "e" (empty) or a run of 0/1.
+_QUESTION = re.compile(r"H\((e|[01]+)\)([.?])|O\((e|[01]+),(e|[01]+)\)([.?])")
 
 
 @dataclass(frozen=True)
@@ -112,60 +118,15 @@ def borel_cover(points: Sequence[Fraction], epsilon: Fraction) -> CoverReport:
     return CoverReport(epsilon, tuple(intervals), total)
 
 
-def borel_string(k: int) -> str:
-    """The kth string (1-based) over the question alphabet, length-lex."""
-    if k < 1:
-        raise ValueError("string numbering starts at 1")
-    base = len(BOREL_ALPHABET)
-    length = 1
-    remaining = k
-    while remaining > base**length:
-        remaining -= base**length
-        length += 1
-    index = remaining - 1
-    chars = []
-    for _ in range(length):
-        index, digit = divmod(index, base)
-        chars.append(BOREL_ALPHABET[digit])
-    return "".join(reversed(chars))
+def borel_strings() -> Iterator[str]:
+    """Every string over the question alphabet, length-lex from length 1."""
+    for length in count(1):
+        for chars in product(BOREL_ALPHABET, repeat=length):
+            yield "".join(chars)
 
 
-def _parse_bits_token(text: str, pos: int) -> tuple[str, int] | None:
-    # "e" is the empty bit string; otherwise a nonempty run of 0/1
-    if text.startswith("e", pos):
-        return "", pos + 1
-    end = pos
-    while end < len(text) and text[end] in "01":
-        end += 1
-    if end == pos:
-        return None
-    return text[pos:end], end
-
-
-def _parse_pred(text: str) -> tuple[tuple[str, ...], int] | None:
-    if text.startswith("H("):
-        got = _parse_bits_token(text, 2)
-        if got is None:
-            return None
-        p, pos = got
-        if not text.startswith(")", pos):
-            return None
-        return ("H", p), pos + 1
-    if text.startswith("O("):
-        got = _parse_bits_token(text, 2)
-        if got is None:
-            return None
-        p, pos = got
-        if not text.startswith(",", pos):
-            return None
-        got = _parse_bits_token(text, pos + 1)
-        if got is None:
-            return None
-        s, pos = got
-        if not text.startswith(")", pos):
-            return None
-        return ("O", p, s), pos + 1
-    return None
+def _bits(token: str) -> str:
+    return "" if token == "e" else token
 
 
 def _answer(pred: tuple[str, ...], budget: int) -> int:
@@ -189,17 +150,12 @@ def classify_text(text: str, budget: int) -> int:
     exactly s); the same predicates with "." are statements. Raising the
     budget can only move a digit from 2 to 3 or 4.
     """
-    got = _parse_pred(text)
-    if got is None:
+    match = _QUESTION.fullmatch(text)
+    if match is None:
         return 0
-    pred, pos = got
-    if pos != len(text) - 1 or text[pos] not in ".?":
-        return 0
-    if text[pos] == ".":
-        return 1
-    return _answer(pred, budget)
-
-
-def borel_digit(k: int, budget: int) -> int:
-    """Classify the kth string of the question language."""
-    return classify_text(borel_string(k), budget)
+    h_program, h_end, o_program, o_output, o_end = match.groups()
+    if h_end is not None:
+        end, pred = h_end, ("H", _bits(h_program))
+    else:
+        end, pred = o_end, ("O", _bits(o_program), _bits(o_output))
+    return 1 if end == "." else _answer(pred, budget)

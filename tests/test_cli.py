@@ -413,3 +413,25 @@ def test_reports_are_byte_identical_across_invocations(tmp_path, capsys):
         first = invoke(capsys, *argv)
         second = invoke(capsys, *argv)
         assert first == second
+
+
+# --- input files ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("omega", "--checkpoint"),
+        ("enumerate", "--max-len", "6", "--budget", "10", "--resume", "--checkpoint"),
+        ("cover", "--epsilon", "1/4", "--points"),
+        ("theory", "frontier", "--theory"),
+        ("diag", "--digits", "1", "--budget", "10", "--programs"),
+    ],
+    ids=["omega", "enumerate-resume", "cover", "theory-frontier", "diag"],
+)
+def test_non_ascii_input_file_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"1\n\xc3\xa9\n")
+    code, out, err = invoke(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert f"{path}: " in err and "Traceback" not in err

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -7,29 +6,14 @@ import pytest
 from omegalab.enumerator import EnumState, HaltRecord, enumerate_programs
 from omegalab.omega import (
     DuplicateProgram,
-    add_record,
+    OmegaBound,
     binary_expansion,
-    empty_bound,
     format_report,
     from_state,
     kraft_check,
-    merge,
 )
 
 from naive_vm import naive_census, naive_omega
-
-
-def test_add_record_shares():
-    bound = add_record(empty_bound(), HaltRecord("1", "", 0))
-    assert bound.value == Fraction(1, 2)
-    bound = add_record(bound, HaltRecord("01001", "0", 1))
-    assert bound.value == Fraction(17, 32)
-
-
-def test_add_record_rejects_duplicates():
-    bound = add_record(empty_bound(), HaltRecord("1", "", 0))
-    with pytest.raises(DuplicateProgram):
-        add_record(bound, HaltRecord("1", "", 0))
 
 
 def test_from_state_values():
@@ -41,26 +25,23 @@ def test_from_state_values():
 def test_from_state_records_provenance():
     bound = from_state(enumerate_programs(5, 100))
     assert bound.source == (5, 100)
-    assert bound.contributing == {"1", "01000", "01001", "01010"}
 
 
-def fold(state):
-    """The census folded record by record, the reference for from_state."""
-    bound = empty_bound((state.max_len_done, state.budget))
-    for rec in sorted(state.records, key=lambda r: (len(r.program), r.program)):
-        bound = add_record(bound, rec)
-    return bound
+def naive_bound(state):
+    """The census summed record by record by the independent oracle."""
+    num, den = naive_omega([rec.program for rec in state.records], state.max_len_done)
+    return OmegaBound(Fraction(num, den), (state.max_len_done, state.budget))
 
 
 def test_from_state_equals_the_record_fold():
     state = enumerate_programs(10, 100)
-    assert from_state(state) == fold(state)
+    assert from_state(state) == naive_bound(state)
     records = sorted(state.records, key=lambda r: r.program)
     rng = random.Random(2002)
     for _ in range(30):
         subset = rng.sample(records, rng.randrange(len(records) + 1))
         sub = EnumState(10, 100, frozenset(subset), frozenset())
-        assert from_state(sub) == fold(sub)
+        assert from_state(sub) == naive_bound(sub)
 
 
 def test_from_state_names_smallest_duplicate():
@@ -78,44 +59,13 @@ def test_from_state_names_smallest_duplicate():
     with pytest.raises(DuplicateProgram) as err:
         from_state(state)
     assert err.value.args == ("01001",)
-    with pytest.raises(DuplicateProgram) as err:
-        fold(state)
-    assert err.value.args == ("01001",)
-
-
-def test_fold_order_is_irrelevant():
-    records = list(enumerate_programs(5, 100).records)
-    values = set()
-    for perm in itertools.permutations(records):
-        bound = empty_bound()
-        for rec in perm:
-            bound = add_record(bound, rec)
-        values.add(bound.value)
-    assert values == {Fraction(19, 32)}
-
-
-def test_merge_of_disjoint_censuses():
-    low = from_state(enumerate_programs(4, 100))
-    top_records = enumerate_programs(5, 100).records - enumerate_programs(4, 100).records
-    top = empty_bound((5, 100))
-    for rec in sorted(top_records, key=lambda r: r.program):
-        top = add_record(top, rec)
-    assert merge(low, top) == merge(top, low)
-    assert merge(low, top).value == Fraction(19, 32)
-    assert merge(low, top).contributing == from_state(enumerate_programs(5, 100)).contributing
-
-
-def test_merge_rejects_overlap():
-    bound = from_state(enumerate_programs(5, 100))
-    with pytest.raises(DuplicateProgram):
-        merge(bound, bound)
 
 
 def test_binary_expansion():
     bound = from_state(enumerate_programs(5, 100))
     assert binary_expansion(bound, 5) == "10011"
     assert binary_expansion(from_state(enumerate_programs(1, 100)), 5) == "10000"
-    assert binary_expansion(empty_bound(), 3) == "000"
+    assert binary_expansion(OmegaBound(Fraction(0), (0, 0)), 3) == "000"
 
 
 def test_binary_expansion_reconstructs_value():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 
@@ -8,8 +9,7 @@ from omegalab.reals import (
     CoverInterval,
     DigitStream,
     borel_cover,
-    borel_digit,
-    borel_string,
+    borel_strings,
     classify_text,
     diagonal,
     digit_at,
@@ -168,15 +168,16 @@ def test_cover_interval_width_is_twice_halfwidth():
 
 
 def test_first_strings_follow_alphabet_order():
-    assert [borel_string(k) for k in range(1, 11)] == list(BOREL_ALPHABET)
-    assert borel_string(11) == "HH"
-    assert borel_string(12) == "HO"
-    assert borel_string(110) == "ee"
-    assert borel_string(111) == "HHH"
+    strings = list(islice(borel_strings(), 111))  # strings[k - 1] is the kth
+    assert strings[:10] == list(BOREL_ALPHABET)
+    assert strings[10] == "HH"
+    assert strings[11] == "HO"
+    assert strings[109] == "ee"
+    assert strings[110] == "HHH"
 
 
 def test_strings_are_length_lex_and_distinct():
-    strings = [borel_string(k) for k in range(1, 1001)]
+    strings = list(islice(borel_strings(), 1000))
     assert len(set(strings)) == 1000
     for earlier, later in zip(strings, strings[1:]):
         key = (len(earlier), [BOREL_ALPHABET.index(c) for c in earlier])
@@ -191,8 +192,9 @@ def test_the_halting_question_about_the_empty_program_text():
     for c in "H(1)?":
         index = index * 10 + BOREL_ALPHABET.index(c)
     k = 10 + 100 + 1000 + 10000 + index + 1
-    assert borel_string(k) == "H(1)?"
-    assert borel_digit(k, 100) == 4
+    text = next(islice(borel_strings(), k - 1, None))
+    assert text == "H(1)?"
+    assert classify_text(text, 100) == 4
 
 
 def test_classification_examples():
@@ -225,12 +227,12 @@ def test_garbage_strings():
 
 
 def test_every_string_gets_exactly_one_digit():
-    for k in range(1, 2001):
-        assert borel_digit(k, 20) in (0, 1, 2, 3, 4)
+    for text in islice(borel_strings(), 2000):
+        assert classify_text(text, 20) in (0, 1, 2, 3, 4)
 
 
 def test_budget_refinement_is_monotone():
-    texts = [borel_string(k) for k in range(1, 500)]
+    texts = list(islice(borel_strings(), 499))
     texts += ["H(01000)?", "H(0101110010)?", "H(0111100111100100)?", "O(01001,0)?"]
     for text in texts:
         low = classify_text(text, 1)
@@ -239,3 +241,70 @@ def test_budget_refinement_is_monotone():
             assert high == low
         else:
             assert high in (2, 3, 4)
+
+
+# --- the question language against its grammar ---------------------------------
+
+ORACLE_LEN = 12
+
+
+def grammar_strings():
+    """Every question and statement whose bit strings are "e" or 1-8 bits,
+    kept when at most ORACLE_LEN long. A 9-bit token already makes
+    "H(p)?" 13 characters long, so up to ORACLE_LEN this is the whole
+    language."""
+    tokens = ["e"] + [
+        "".join(bits) for n in range(1, 9) for bits in product("01", repeat=n)
+    ]
+    members = set()
+    for end in ".?":
+        members.update(f"H({p}){end}" for p in tokens)
+        members.update(
+            f"O({p},{s}){end}"
+            for p in tokens
+            for s in tokens
+            if len(p) + len(s) <= ORACLE_LEN - len("O(,)?")
+        )
+    return {text for text in members if len(text) <= ORACLE_LEN}
+
+
+@pytest.fixture(scope="module")
+def language():
+    return grammar_strings()
+
+
+def check_against_grammar(text, language):
+    digit = classify_text(text, 20)
+    if text not in language:
+        assert digit == 0, text
+    elif text.endswith("."):
+        assert digit == 1, text
+    else:
+        assert digit in (2, 3, 4), text
+
+
+def test_every_short_string_is_classified_by_the_grammar(language):
+    checked = 0
+    for length in range(7):
+        for chars in product(BOREL_ALPHABET, repeat=length):
+            check_against_grammar("".join(chars), language)
+            checked += 1
+    assert checked == 1_111_111  # the empty string and 1,111,110 others
+
+
+def test_near_misses_of_the_grammar(language):
+    rng = random.Random(5)
+    members = sorted(language)
+    checked = 0
+    while checked < 20_000:
+        text = rng.choice(members)
+        pos = rng.randrange(len(text) + 1)
+        edit = rng.choice(("insert", "delete", "replace"))
+        if edit == "insert":
+            text = text[:pos] + rng.choice(BOREL_ALPHABET) + text[pos:]
+        elif pos < len(text):
+            rest = text[pos + 1 :]
+            text = text[:pos] + (rng.choice(BOREL_ALPHABET) if edit == "replace" else "") + rest
+        if len(text) <= ORACLE_LEN:
+            check_against_grammar(text, language)
+            checked += 1
