@@ -47,8 +47,6 @@ from .vm import (
     Program,
     Running,
     decode,
-    detect_loop,
-    gamma_decode,
     gamma_encode,
     literal_program,
     run,

@@ -22,6 +22,7 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 DEFAULT_OMEGA_BITS = 16
+BOREL_CHUNK = 4096  # report lines per write
 
 
 class UsageError(Exception):
@@ -264,12 +265,16 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 def cmd_borel(args: argparse.Namespace) -> int:
     strings = islice(reals.borel_strings(), args.prefix)
-    _emit(
-        [
-            f"{k} {text} {reals.classify_text(text, args.budget)}"
-            for k, text in enumerate(strings, start=1)
-        ]
+    lines = (
+        f"{k} {text} {reals.classify_text(text, args.budget)}"
+        for k, text in enumerate(strings, start=1)
     )
+    # Written in chunks so memory does not grow with --prefix. The first
+    # chunk is written even when empty: an empty report is one newline.
+    chunk = list(islice(lines, BOREL_CHUNK))
+    _emit(chunk)
+    while chunk := list(islice(lines, BOREL_CHUNK)):
+        _emit(chunk)
     return EXIT_OK
 
 

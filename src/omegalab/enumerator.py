@@ -105,7 +105,11 @@ def refine(state: EnumState, new_budget: int) -> EnumState:
     """Re-run only the pending programs at a strictly larger budget.
 
     Equals enumerate_programs(state.max_len_done, new_budget): records
-    taken at the smaller budget stay bit-identical at any larger one.
+    taken at the smaller budget stay bit-identical at any larger one. A
+    pending program that revisits a control state stays pending after a few
+    steps, at most three times the step of its first revisit, because `run`
+    stops there; only one that never revisits, such as counter growth,
+    costs the whole budget.
     """
     if new_budget <= state.budget:
         raise ValueError(f"new budget {new_budget} must exceed current {state.budget}")

@@ -15,6 +15,14 @@ through. Falling off either end of the instruction list is a halt, and
 jump targets outside the code are clamped to "past the end". Everything
 here is integer/string arithmetic; there is deliberately no floating point
 in this module or anywhere above it.
+
+One step loop runs every simulation, over the program compiled to small
+ints. Output does not touch the control state (pc, A, B), so a run that
+comes back to a control state repeats forever. The loop compares each
+state with one saved state (Brent's cycle finding), so `run` stops at such
+a revisit with Running(budget), the answer running out the budget gives,
+and `classify` turns it into a loop certificate. Neither keeps more than
+a few states, whatever the budget.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ __all__ = [
     "Running",
     "LoopCert",
     "gamma_encode",
-    "gamma_decode",
     "decode",
     "encode_instructions",
     "assemble",
@@ -41,7 +48,6 @@ __all__ = [
     "execute",
     "stream_output",
     "classify",
-    "detect_loop",
     "programs",
     "literal_program",
 ]
@@ -102,10 +108,6 @@ class Program:
     bits: str
     instructions: tuple[Instruction, ...]
 
-    @property
-    def length_bits(self) -> int:
-        return len(self.bits)
-
 
 @dataclass(frozen=True)
 class Halted:
@@ -134,17 +136,6 @@ def gamma_encode(m: int) -> str:
     return "0" * (m.bit_length() - 1) + format(m, "b")
 
 
-def gamma_decode(bits: str, start: int = 0) -> tuple[int, int]:
-    """Decode a gamma code at `start`; returns (value, bits consumed)."""
-    k = start
-    while k < len(bits) and bits[k] == "0":
-        k += 1
-    end = k + (k - start) + 1
-    if k == len(bits) or end > len(bits):
-        raise InvalidProgram(InvalidReason.MALFORMED_GAMMA)
-    return int(bits[k:end], 2), end - start
-
-
 def _zigzag(delta: int) -> int:
     return 2 * delta if delta >= 0 else -2 * delta - 1
 
@@ -171,7 +162,7 @@ def decode(bits: str) -> Program:
     a census scan meets that are not programs build no objects. Only a
     string that passes is walked again to build its instructions. A gamma
     code starting at `start` whose first 1 is at `k` ends at
-    k + (k - start) + 1, as in gamma_decode.
+    k + (k - start) + 1.
     """
     n = len(bits)
     if bits.count("0") + bits.count("1") != n:
@@ -234,68 +225,127 @@ def assemble(instructions) -> Program:
     return Program(encode_instructions(instructions), instructions)
 
 
-def _run_machine(
-    program: Program,
-    budget: int,
-    want_bits: int | None = None,
-    seen: set[tuple[int, int, int]] | None = None,
-) -> tuple[bool, str, int, tuple[int, int, int] | None]:
-    """The machine's one step loop.
+# Compiled opcodes, grouped so the step loop dispatches on ranges of small
+# ints: halts, emits, increments, jumps. _FALL is the sentinel past the last
+# instruction: falling off the end halts without costing a step.
+_FALL, _HALT, _EMIT0, _EMIT1, _INCA, _INCB, _DJZA, _DJZB = range(8)
+_OPNUM = {op.value: num for num, op in enumerate(Op, _HALT)}  # Op lists them in this order
+_START = (0, 0, 0)  # (pc, counter A, counter B) before the first step
 
-    Steps until HALT or fall-off, the budget, `want_bits` output bits, or,
-    given a `seen` set, the first revisit of a control state (pc, A, B).
-    Returns (halted, output, steps, revisited state or None).
+
+def _compile(program: Program) -> list[tuple[int, int]]:
+    """The program as (opcode, next pc) pairs, then a _FALL sentinel.
+
+    A jump's next pc is its target when it fires, clamped to n (past the
+    end) when out of range; every other instruction's is pc + 1.
+    """
+    code = program.instructions
+    n = len(code)
+    compiled = []
+    for pc, ins in enumerate(code):
+        target = pc + 1 if ins.offset is None else pc + 1 + ins.offset
+        compiled.append((_OPNUM[ins.op._value_], target if 0 <= target <= n else n))
+    compiled.append((_FALL, n))
+    return compiled
+
+
+def _run_machine(
+    code: list[tuple[int, int]],
+    budget: int,
+    state: tuple[int, int, int] = _START,
+    want_bits: int | None = None,
+    window: int | None = 1,
+) -> tuple[bool, str, int, tuple[int, int, int], int]:
+    """The machine's one step loop, over `_compile`d code.
+
+    Steps from `state` (pc, A, B) until HALT or fall-off, `budget` steps,
+    or `want_bits` output bits. Unless `window` is None, it also stops at a
+    revisit: each state is compared with a saved one, `state` itself up to
+    step `window`, then the state at step window, 2·window, 4·window, ...
+    up to the next of those steps (Brent's cycle finding; window=budget
+    compares with `state` only). The first match is exactly one cycle
+    length λ after the saved state. Returns (halted, output, steps, state,
+    period), where period is that λ, or 0 when no revisit was seen.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    code = program.instructions
-    n = len(code)
-    pc = a = b = steps = 0
-    out: list[str] = []
-    if seen is not None:
-        seen.add((0, 0, 0))
+    if want_bits is None:
+        want_bits = budget + 1
+    pc, a, b = state
+    sp, sa, sb = (-1, 0, 0) if window is None else state  # -1: never revisited
+    out = bytearray()
+    emit = out.append
+    saved = steps = 0
+    end = window or budget
     while True:
-        if not 0 <= pc < n:
-            return True, "".join(out), steps, None
-        if steps >= budget or (want_bits is not None and len(out) >= want_bits):
-            return False, "".join(out), steps, None
-        ins = code[pc]
-        op = ins.op
-        steps += 1
-        if op is Op.HALT:
-            return True, "".join(out), steps, None
-        if op is Op.EMIT0:
-            out.append("0")
-            pc += 1
-        elif op is Op.EMIT1:
-            out.append("1")
-            pc += 1
-        elif op is Op.INCA:
-            a += 1
-            pc += 1
-        elif op is Op.INCB:
-            b += 1
-            pc += 1
-        elif op is Op.DJZA and a:
-            a -= 1
-            pc += 1
-        elif op is Op.DJZB and b:
-            b -= 1
-            pc += 1
-        else:  # DJZA / DJZB on a zero counter: jump
-            pc += 1 + ins.offset
-            if not 0 <= pc <= n:
-                pc = n  # out-of-range jump targets mean "past the end"
-        if seen is not None:
-            state = (pc, a, b)
-            if state in seen:
-                return False, "".join(out), steps, state
-            seen.add(state)
+        end = min(end, budget)
+        for steps in range(steps + 1, end + 1):  # a for loop is the cheap counter
+            op, target = code[pc]
+            if op >= _DJZA:
+                if op == _DJZA:
+                    if a:
+                        a -= 1
+                        pc += 1
+                    else:
+                        pc = target
+                elif b:
+                    b -= 1
+                    pc += 1
+                else:
+                    pc = target
+            elif op >= _INCA:
+                if op == _INCA:
+                    a += 1
+                else:
+                    b += 1
+                pc = target
+            elif op >= _EMIT0:
+                emit(48 if op == _EMIT0 else 49)  # b"0" / b"1"
+                pc = target
+                if len(out) >= want_bits:
+                    return False, out.decode(), steps, (pc, a, b), 0
+            else:  # HALT costs its step; fall-off was the previous step
+                return True, out.decode(), steps if op == _HALT else steps - 1, (pc, a, b), 0
+            if pc == sp and a == sa and b == sb:
+                return False, out.decode(), steps, (pc, a, b), steps - saved
+        if steps == budget:
+            return code[pc][0] == _FALL, out.decode(), steps, (pc, a, b), 0
+        sp, sa, sb, saved = pc, a, b, steps
+        end = 2 * steps
+
+
+def _advance(
+    code: list[tuple[int, int]], state: tuple[int, int, int], steps: int
+) -> tuple[int, int, int]:
+    """The state `steps` steps after `state`, for a machine that never halts."""
+    return _run_machine(code, steps, state, window=None)[3]
+
+
+def _cycle_entry(
+    code: list[tuple[int, int]], period: int, last: int, at_last: tuple[int, int, int]
+) -> tuple[int, tuple[int, int, int]]:
+    """(μ, x_μ): the first step whose state recurs `period` steps later.
+
+    Given that the state `at_last` at step `last` does recur. The pair
+    (x_i, x_{i+λ}) agrees exactly from i = μ on, so bisect over i, moving
+    the pair in lockstep: O(1) states and at most λ + 2·last steps.
+    """
+    lo, x, y = 0, _START, _advance(code, _START, period)
+    if x == y:
+        return 0, x
+    hi = last
+    while hi - lo > 1:  # x = x_lo differs from y = x_{lo+λ}; x_hi recurs
+        mid = (lo + hi) // 2
+        mx, my = _advance(code, x, mid - lo), _advance(code, y, mid - lo)
+        if mx == my:
+            hi, at_last = mid, mx
+        else:
+            lo, x, y = mid, mx, my
+    return hi, at_last
 
 
 def execute(program: Program, budget: int) -> Halted | Running:
-    # No seen set: it would hold up to `budget` states per pending program.
-    halted, out, steps, _ = _run_machine(program, budget)
+    halted, out, steps, _, _ = _run_machine(_compile(program), budget)
     return Halted(out, steps) if halted else Running(budget)
 
 
@@ -304,7 +354,10 @@ def run(bits: str, budget: int) -> Halted | Running:
 
     Counters start at zero, output empty. Executing an instruction costs
     one step; halting by falling off the end costs none, so the empty
-    program halts in zero steps at any budget.
+    program halts in zero steps at any budget. Running(budget) means the
+    program did not halt within the budget: either the budget ran out, or
+    a control state (pc, A, B) came back, which proves it never halts, and
+    the run stopped there.
     """
     return execute(decode(bits), budget)
 
@@ -313,34 +366,41 @@ def stream_output(program: Program, budget: int, want_bits: int) -> str:
     """Run ignoring halting status; the first `want_bits` emitted bits.
 
     The result is shorter than `want_bits` when the program halts or the
-    budget runs out first.
+    budget runs out first. A loop does not stop it: the output goes on.
     """
-    _, out, _, _ = _run_machine(program, budget, want_bits)
+    _, out, _, _, _ = _run_machine(_compile(program), budget, want_bits=want_bits, window=None)
     return out[:want_bits]
 
 
 def classify(bits: str, budget: int) -> Halted | LoopCert | Running:
     """Halted as `run` says, else the first state revisit within `budget`
-    steps as a LoopCert, else Running(budget); one simulation.
+    steps as a LoopCert, else Running(budget).
 
     Output emission does not touch the control state (pc, A, B), so a
     revisit makes the deterministic machine repeat forever: a sound
-    non-halting certificate. The set of visited states grows by one per
-    step, so memory grows with the budget for a program that keeps running.
+    non-halting certificate. The states x_0, x_1, ... first repeat at step
+    μ + λ, where x_μ is the first state on the cycle and λ its length; the
+    certificate is (μ + λ, x_μ). No visited states are kept: Brent's cycle
+    finding sees a revisit at some step >= μ + λ, with λ exact, and a
+    bisection then finds μ. Brent can see it only after the budget while
+    μ + λ <= budget. Then x_budget lies on the cycle and recurs λ <= budget
+    steps later, so when the budget runs out, one more pass of `budget`
+    steps, compared with x_budget, finds λ whenever a certificate is due.
     """
-    halted, out, steps, state = _run_machine(decode(bits), budget, seen=set())
+    code = _compile(decode(bits))
+    halted, out, steps, state, period = _run_machine(code, budget)
     if halted:
         return Halted(out, steps)
-    if state is not None:
-        return LoopCert(bits, steps, state)
+    if period:  # the saved state, at step steps - period, recurs
+        last = steps - period
+    else:
+        last = budget
+        period = _run_machine(code, budget, state, window=budget)[4]
+    if period:
+        mu, at_mu = _cycle_entry(code, period, last, state)
+        if mu + period <= budget:
+            return LoopCert(bits, mu + period, at_mu)
     return Running(budget)
-
-
-def detect_loop(bits: str, budget: int) -> LoopCert | None:
-    """The loop certificate `classify` finds within `budget` steps, or None
-    when the program halts or no state revisit shows up in time."""
-    outcome = classify(bits, budget)
-    return outcome if isinstance(outcome, LoopCert) else None
 
 
 def programs(length: int) -> Iterator[str]:

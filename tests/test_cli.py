@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from omegalab import cli
 from omegalab.cli import main, parse_points_file, UsageError
 
 
@@ -305,6 +306,16 @@ def test_borel_report(capsys):
     assert lines[9] == "10 e 0"
     assert lines[10] == "11 HH 0"
     assert len(lines) == 12
+
+
+def test_borel_report_is_the_same_across_write_chunks(capsys, monkeypatch):
+    _, whole, _ = invoke(capsys, "borel", "--prefix", "7", "--budget", "10")
+    monkeypatch.setattr(cli, "BOREL_CHUNK", 3)
+    for prefix in (0, 1, 3, 6, 7):
+        code, out, _ = invoke(capsys, "borel", "--prefix", str(prefix), "--budget", "10")
+        assert code == 0
+        # an empty report is one newline
+        assert out == ("".join(whole.splitlines(keepends=True)[:prefix]) or "\n")
 
 
 # --- theory ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,9 +14,7 @@ from omegalab.vm import (
     assemble,
     classify,
     decode,
-    detect_loop,
     encode_instructions,
-    gamma_decode,
     gamma_encode,
     literal_program,
     programs,
@@ -23,7 +22,7 @@ from omegalab.vm import (
     stream_output,
 )
 
-from naive_vm import naive_decode, naive_loop, naive_reason, naive_run
+from naive_vm import chew_gamma, naive_decode, naive_loop, naive_reason, naive_run
 
 
 def all_strings(max_len):
@@ -40,6 +39,16 @@ def valid_programs(max_len):
             continue
 
 
+def random_programs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        instructions = [
+            Instruction(op, rng.randrange(-9, 10) if op in (Op.DJZA, Op.DJZB) else None)
+            for op in rng.choices(list(Op), k=rng.randrange(0, 9))
+        ]
+        yield assemble(instructions).bits
+
+
 # --- gamma code ---------------------------------------------------------
 
 
@@ -52,9 +61,13 @@ def test_gamma_encode_base_cases():
 def test_gamma_round_trip_exhaustive():
     for m in range(1, 4097):
         bits = gamma_encode(m)
-        assert gamma_decode(bits) == (m, len(bits))
-        # decoding ignores trailing bits and reports consumption
-        assert gamma_decode(bits + "101") == (m, len(bits))
+        assert chew_gamma(bits) == (m, "")
+        # a gamma code is self-delimiting: trailing bits are left over
+        assert chew_gamma(bits + "101") == (m, "101")
+    # and through decode, as a jump's zigzag-coded offset
+    for offset in range(-300, 301):
+        (jump,) = decode(assemble([Instruction(Op.DJZB, offset)]).bits).instructions
+        assert jump.offset == offset
 
 
 def test_gamma_encode_rejects_nonpositive():
@@ -62,11 +75,12 @@ def test_gamma_encode_rejects_nonpositive():
         gamma_encode(0)
 
 
-def test_gamma_decode_exhaustion():
-    for bad in ("", "0", "00", "01", "0001"):
+def test_decode_malformed_gamma_codes():
+    # headers whose gamma code never completes, then a jump offset that does not
+    for bad in ("", "0", "00", "01", "0001", "010111100", "0101111001"):
         with pytest.raises(InvalidProgram) as err:
-            gamma_decode(bad)
-        assert err.value.reason is InvalidReason.MALFORMED_GAMMA
+            decode(bad)
+        assert err.value.reason is InvalidReason.MALFORMED_GAMMA, bad
 
 
 # --- decode -------------------------------------------------------------
@@ -75,7 +89,7 @@ def test_gamma_decode_exhaustion():
 def test_decode_empty_program():
     program = decode("1")
     assert program.instructions == ()
-    assert program.length_bits == 1
+    assert program.bits == "1"
 
 
 def test_decode_single_emit():
@@ -256,19 +270,28 @@ def test_run_djz_decrements_when_nonzero():
     assert run(program.bits, 10) == Halted("", 2)
 
 
+def assert_run_matches_oracle(bits, budget):
+    ours, theirs = run(bits, budget), naive_run(bits, budget)
+    if isinstance(ours, Halted):
+        assert theirs == ("halted", ours.output, ours.steps), (bits, budget)
+    else:
+        assert ours == Running(budget) and theirs == ("running",), (bits, budget)
+
+
 def test_run_matches_naive_oracle():
     for bits in all_strings(10):
         for budget in (0, 3, 50):
-            theirs = naive_run(bits, budget)
-            try:
-                ours = run(bits, budget)
-            except InvalidProgram:
-                assert theirs is None
-                continue
-            if isinstance(ours, Halted):
-                assert theirs == ("halted", ours.output, ours.steps), bits
+            if naive_decode(bits) is None:
+                with pytest.raises(InvalidProgram):
+                    run(bits, budget)
             else:
-                assert theirs == ("running",), bits
+                assert_run_matches_oracle(bits, budget)
+    # a looping program stops early at a revisit: the answer is the same
+    for bits in (bits for length in range(15) for bits in programs(length)):
+        for budget in (0, 1, 50, 5000):
+            assert_run_matches_oracle(bits, budget)
+    for bits in random_programs(20050503, 2000):
+        assert_run_matches_oracle(bits, 5000)
 
 
 def test_run_determinism_and_budget_monotonicity():
@@ -310,27 +333,17 @@ def test_literal_program_rejects_non_bits():
 # --- loop certificates ---------------------------------------------------
 
 
-def test_detect_loop_self_loop():
-    cert = detect_loop("0101110010", 100)
-    assert cert is not None
-    assert cert.revisit_step == 1
-    assert cert.state == (0, 0, 0)
+def test_classify_self_loop():
+    assert classify("0101110010", 100) == LoopCert("0101110010", 1, (0, 0, 0))
+    assert classify("0101110010", 0) == Running(0)
+    assert classify("01001", 100) == Halted("0", 1)
 
 
-def test_detect_loop_halting_program():
-    assert detect_loop("01001", 100) is None
-
-
-def test_detect_loop_zero_budget():
-    assert detect_loop("0101110010", 0) is None
-
-
-def test_detect_loop_certificates_are_sound():
+def test_loop_certificates_are_sound():
     # every certificate issued over short programs marks a true non-halter
     for program in valid_programs(12):
-        cert = detect_loop(program.bits, 50)
-        if cert is not None:
-            assert run(program.bits, 5000) == Running(5000)
+        if isinstance(classify(program.bits, 50), LoopCert):
+            assert naive_run(program.bits, 5000) == ("running",)
 
 
 def test_counter_growth_defeats_loop_detection():
@@ -338,7 +351,7 @@ def test_counter_growth_defeats_loop_detection():
     # control state ever repeats: correctly no certificate at any budget
     runner = assemble([Instruction(Op.INCA), Instruction(Op.DJZB, -2)])
     assert runner.bits == "0111100111100100"
-    assert detect_loop(runner.bits, 2000) is None
+    assert classify(runner.bits, 2000) == Running(2000)
     assert run(runner.bits, 2000) == Running(2000)
 
 
@@ -361,14 +374,43 @@ def test_classify_matches_oracle_exhaustively():
 
 
 def test_classify_matches_oracle_on_random_programs():
-    rng = random.Random(20050503)
-    for _ in range(2000):
-        instructions = [
-            Instruction(op, rng.randrange(-9, 10) if op in (Op.DJZA, Op.DJZB) else None)
-            for op in rng.choices(list(Op), k=rng.randrange(0, 9))
-        ]
-        bits = assemble(instructions).bits
+    for bits in random_programs(20050503, 2000):
         assert classify(bits, 500) == reference_classify(bits, 500), bits
+
+
+def counter_round_trip(m, k):
+    """INCA m + k times, then a cycle: drain A two steps per unit, with
+    B = 0 making DJZB an unconditional jump, then k INCAs again. The first
+    state on the cycle comes at mu = 3m + k (m >= 1); the cycle is
+    3k + 2 steps long."""
+    return assemble(
+        [Instruction(Op.INCA)] * (m + k)
+        + [Instruction(Op.DJZA, 1), Instruction(Op.DJZB, -2), Instruction(Op.DJZB, -(k + 3))]
+    ).bits
+
+
+def test_classify_certifies_at_exactly_the_first_revisit():
+    # Brent's cycle finding sees a revisit up to ~3 max(mu, lambda) steps
+    # late, so the budgets between the first revisit and that point are
+    # where an O(1)-memory classify can go wrong.
+    looping = [
+        (bits, naive_loop(bits, 500))
+        for bits in [
+            *(bits for length in range(15) for bits in programs(length)),
+            *random_programs(19800701, 5000),
+            *(counter_round_trip(m, k) for m in (1, 2, 5) for k in (0, 1, 3, 8, 20)),
+        ]
+    ]
+    looping = [(bits, loop) for bits, loop in looping if loop is not None]
+    assert len(looping) > 200
+    for m in (1, 2, 5):
+        for k in (0, 1, 3, 8, 20):
+            assert naive_loop(counter_round_trip(m, k), 500)[0] == 3 * m + 4 * k + 2
+    for bits, (revisit, state) in looping:
+        assert classify(bits, revisit) == LoopCert(bits, revisit, state), bits
+        assert classify(bits, revisit - 1) == Running(revisit - 1), bits
+        for budget in (0, 1, 2, 3, 5, 8, 50, 500):
+            assert classify(bits, budget) == reference_classify(bits, budget), (bits, budget)
 
 
 def test_classify_halts_by_fall_off_at_exactly_the_budget():
@@ -383,8 +425,21 @@ def test_classify_leaves_counter_growth_running():
     assert classify(runner.bits, 2000) == Running(2000)
 
 
+def test_classify_memory_does_not_grow_with_the_budget():
+    # no set of visited states: counter growth runs the whole budget (and
+    # the as long again check that no revisit is due) in O(1) states
+    runner = assemble([Instruction(Op.INCA), Instruction(Op.DJZB, -2)])
+    tracemalloc.start()
+    try:
+        assert classify(runner.bits, 200_000) == Running(200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_every_simulation_rejects_a_negative_budget():
-    for simulate in (run, detect_loop, classify):
+    for simulate in (run, classify):
         with pytest.raises(ValueError, match="budget"):
             simulate("0101110010", -1)
     with pytest.raises(ValueError, match="budget"):
