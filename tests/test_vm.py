@@ -333,10 +333,16 @@ def test_literal_program_rejects_non_bits():
 # --- loop certificates ---------------------------------------------------
 
 
-def test_classify_self_loop():
+def test_detect_loop_self_loop():
     assert classify("0101110010", 100) == LoopCert("0101110010", 1, (0, 0, 0))
-    assert classify("0101110010", 0) == Running(0)
+
+
+def test_detect_loop_halting_program():
     assert classify("01001", 100) == Halted("0", 1)
+
+
+def test_detect_loop_zero_budget():
+    assert classify("0101110010", 0) == Running(0)
 
 
 def test_loop_certificates_are_sound():
