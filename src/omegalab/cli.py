@@ -112,7 +112,12 @@ def _read_programs_file(path: str | Path) -> list[str]:
 
 
 def _worker_count(requested: int | None) -> int:
-    workers = requested if requested is not None else 1
+    if requested is not None:
+        workers = requested
+    elif hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     cap = os.environ.get("OMEGALAB_THREADS")
     if cap is not None:
         try:
@@ -327,7 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_nonneg_int, required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--resume", action="store_true", help="extend an existing checkpoint")
-    p.add_argument("--workers", type=_pos_int, default=None)
+    p.add_argument(
+        "--workers",
+        type=_pos_int,
+        default=None,
+        help="scan in this many processes (default: the CPUs available; "
+        "OMEGALAB_THREADS caps it)",
+    )
     p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("omega", help="halting-probability lower bound from a checkpoint")

@@ -5,8 +5,11 @@ order, skips the syntactically invalid ones, and splits the valid programs
 into a halting census and a pending set. Pending programs are kept so a
 later, larger budget only re-runs them (refine) instead of re-scanning the
 whole tree. States checkpoint to a line-oriented ASCII file with atomic
-writes, and scanning may be partitioned over worker processes by disjoint
-bit-string ranges without changing the result.
+writes, and scanning may be spread over worker processes without changing
+the result: each length is cut into contiguous chunks of at most
+SCAN_CHUNK strings, handed to the pool in length order, so a costly
+stretch of one length is shared among the workers instead of falling to
+one of them.
 
 The scan still decodes every bit string instead of walking `vm.programs`:
 the benchmark's traced census (`check_trace` in perfbench/run.py) requires
@@ -25,6 +28,7 @@ from typing import Iterable
 from .vm import Halted, InvalidProgram, run
 
 CHECKPOINT_MAGIC = "OMEGALAB v1"
+SCAN_CHUNK = 1 << 15  # strings of one length per unit of pool work
 
 
 @dataclass(frozen=True)
@@ -68,14 +72,11 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[list[tuple[str, str, i
 def _scan_lengths(
     lengths: Iterable[int], budget: int, workers: int
 ) -> tuple[set[HaltRecord], set[str]]:
-    chunks = []
-    for length in lengths:
-        total = 1 << length
-        parts = min(workers, total)
-        bounds = [total * j // parts for j in range(parts + 1)]
-        chunks.extend(
-            (length, lo, hi, budget) for lo, hi in zip(bounds, bounds[1:]) if lo < hi
-        )
+    chunks = [
+        (length, lo, min(lo + SCAN_CHUNK, 1 << length), budget)
+        for length in lengths
+        for lo in range(0, 1 << length, SCAN_CHUNK)
+    ]
     if workers > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, chunks))

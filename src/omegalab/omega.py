@@ -26,6 +26,12 @@ class OmegaBound:
     source: tuple[int, int]  # (max_len, budget) provenance of the census
 
 
+def _mass(programs: Iterable[str]) -> Fraction:
+    """Sum of 1/2^K over the K-bit programs, one term per length K."""
+    per_length = Counter(len(p) for p in programs)
+    return sum((Fraction(count, 2**k) for k, count in per_length.items()), start=Fraction(0))
+
+
 def from_state(state: EnumState) -> OmegaBound:
     """The bound of a whole census: each K-bit halting program adds 1/2^K.
 
@@ -37,9 +43,7 @@ def from_state(state: EnumState) -> OmegaBound:
     if len(set(programs)) != len(programs):
         twice = [p for p, n in Counter(programs).items() if n > 1]
         raise DuplicateProgram(min(twice, key=_length_lex))
-    per_length = Counter(len(p) for p in programs)
-    value = sum((Fraction(count, 2**k) for k, count in per_length.items()), start=Fraction(0))
-    return OmegaBound(value, (state.max_len_done, state.budget))
+    return OmegaBound(_mass(programs), (state.max_len_done, state.budget))
 
 
 def binary_expansion(bound: OmegaBound, k: int) -> str:
@@ -71,7 +75,7 @@ def kraft_check(records: Iterable[HaltRecord | str]) -> KraftResult:
         {r.program if isinstance(r, HaltRecord) else r for r in records},
         key=_length_lex,
     )
-    mass = sum((Fraction(1, 2 ** len(p)) for p in programs), start=Fraction(0))
+    mass = _mass(programs)
     members = set(programs)
     for p in programs:
         for cut in range(1, len(p)):

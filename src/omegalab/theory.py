@@ -237,21 +237,15 @@ class CheckResult:
     reason: str | None = None
 
 
-def _covers(premise: Statement, q: str, output: str) -> bool:
-    if premise.program != q:
-        return False
-    if premise.kind == "loops":
-        return True
-    return premise.kind == "outputs" and premise.output != output
-
-
 def check_proof(theory: Theory, proof: Proof) -> CheckResult:
     """Independently re-verify a proof; rejects at the first failing step.
 
     The side-condition enumeration is redone from scratch, so a proof
-    that silently skips a shorter valid program does not pass.
+    that silently skips a shorter valid program does not pass. The facts
+    and the side premises are each indexed once, so the check is linear in
+    the theory, the proof and the shorter programs.
     """
-    facts = theory.facts
+    facts = set(theory.facts)
     for premise in proof.premises:
         if premise not in facts:
             return CheckResult(False, f"premise not in theory: {premise.canonical()}")
@@ -270,9 +264,13 @@ def check_proof(theory: Theory, proof: Proof) -> CheckResult:
     base = proof.premises[0]
     if base.kind != "outputs" or base.program != proof.goal.program:
         return CheckResult(False, "first premise must state the goal program's output")
-    side = proof.premises[1:]
+    covered = {
+        premise.program
+        for premise in proof.premises[1:]
+        if premise.kind == "loops" or (premise.kind == "outputs" and premise.output != base.output)
+    }
     for q in shorter_valid_programs(len(proof.goal.program)):
-        if not any(_covers(premise, q, base.output) for premise in side):
+        if q not in covered:
             return CheckResult(False, f"shorter program {q} is not classified")
     return CheckResult(True)
 

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,17 @@ def test_enumerate_workers_env_cap(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert capped.read_bytes() == serial.read_bytes()
+
+
+def test_enumerate_defaults_to_the_available_cpus(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("OMEGALAB_THREADS", raising=False)
+    assert cli._worker_count(None) == len(os.sched_getaffinity(0))
+    default = tmp_path / "default.ck"
+    serial = tmp_path / "serial.ck"
+    args = ("enumerate", "--max-len", "8", "--budget", "50", "--checkpoint")
+    assert invoke(capsys, *args, str(default))[0] == 0
+    assert invoke(capsys, *args, str(serial), "--workers", "1")[0] == 0
+    assert default.read_bytes() == serial.read_bytes()
 
 
 def test_bad_threads_env(tmp_path, capsys, monkeypatch):

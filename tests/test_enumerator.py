@@ -1,5 +1,6 @@
 import pytest
 
+from omegalab import enumerator
 from omegalab.enumerator import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -227,6 +228,29 @@ def test_parallel_enumeration_matches_serial():
     serial = enumerate_programs(7, 100)
     for workers in (2, 3):
         assert enumerate_programs(7, 100, workers=workers) == serial
+
+
+def test_small_chunks_match_serial(monkeypatch):
+    serial = enumerate_programs(9, 100)
+    base = enumerate_programs(6, 100)
+    monkeypatch.setattr(enumerator, "SCAN_CHUNK", 3)
+    for workers in (1, 2, 3):
+        assert enumerate_programs(9, 100, workers=workers) == serial
+        assert extend(base, 9, 100, workers=workers) == serial
+
+
+def test_scan_chunks_tile_each_length_in_order(monkeypatch):
+    chunks = []
+    scan_chunk = enumerator._scan_chunk
+    monkeypatch.setattr(enumerator, "SCAN_CHUNK", 3)
+    monkeypatch.setattr(enumerator, "_scan_chunk", lambda c: chunks.append(c) or scan_chunk(c))
+    enumerate_programs(9, 100)
+    assert [c[0] for c in chunks] == sorted(c[0] for c in chunks)
+    for length in range(1, 10):
+        bounds = [(lo, hi) for n, lo, hi, _ in chunks if n == length]
+        assert all(0 < hi - lo <= 3 for lo, hi in bounds)
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == 1 << length
 
 
 def test_state_equality_is_structural():

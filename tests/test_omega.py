@@ -6,6 +6,7 @@ import pytest
 from omegalab.enumerator import EnumState, HaltRecord, enumerate_programs
 from omegalab.omega import (
     DuplicateProgram,
+    KraftResult,
     OmegaBound,
     binary_expansion,
     format_report,
@@ -112,29 +113,27 @@ def test_matches_naive_mass():
 
 
 def test_kraft_check_on_real_census():
-    result = kraft_check(enumerate_programs(10, 1000).records)
-    assert result.ok
-    assert result.violation is None
-    assert result.mass < 1
+    census = enumerate_programs(10, 1000).records
+    mass = sum((Fraction(1, 2 ** len(r.program)) for r in census), start=Fraction(0))
+    assert mass < 1
+    assert kraft_check(census) == KraftResult(True, mass)
+    # A prefix of three census programs: the first extension in length-lex order is named.
+    assert kraft_check([*census, "0100"]) == KraftResult(
+        False, mass + Fraction(1, 16), ("0100", "01000")
+    )
 
 
 def test_kraft_check_flags_prefix_pair():
-    result = kraft_check(["1", "10"])
-    assert not result.ok
-    assert result.violation == ("1", "10")
+    assert kraft_check(["1", "10"]) == KraftResult(False, Fraction(3, 4), ("1", "10"))
 
 
 def test_kraft_check_empty():
-    result = kraft_check([])
-    assert result.ok and result.mass == 0
+    assert kraft_check([]) == KraftResult(True, Fraction(0))
 
 
 def test_kraft_check_flags_excess_mass():
     # prefix-free set with mass exactly 1: both one-bit strings
-    result = kraft_check(["0", "1"])
-    assert not result.ok
-    assert result.violation is None
-    assert result.mass == 1
+    assert kraft_check(["0", "1"]) == KraftResult(False, Fraction(1))
 
 
 def test_report_format():

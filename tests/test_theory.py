@@ -212,6 +212,13 @@ def test_same_output_blocks_elegance():
     result = prove(theory, Statement("elegant", "01000"))
     assert isinstance(result, Unprovable)
     assert result.missing == ("1",)
+    # The checker refuses the same premise when a proof offers it anyway.
+    forged = Proof(
+        Statement("elegant", "01000"),
+        "ELEGANT-INTRO",
+        (Statement("outputs", "01000", ""), Statement("outputs", "1", "")),
+    )
+    assert check_proof(theory, forged) == CheckResult(False, "shorter program 1 is not classified")
 
 
 def test_non_elegance_goals_outside_facts_are_unprovable():
@@ -228,14 +235,33 @@ def test_prover_and_checker_agree_over_short_programs():
             assert check_proof(theory, result) == CheckResult(True)
 
 
+def without_premise(proof, drop):
+    return Proof(proof.goal, proof.rule, proof.premises[:drop] + proof.premises[drop + 1 :])
+
+
 def test_checker_rejects_missing_side_premise():
     theory = full_theory()
     proof = prove(theory, Statement("elegant", "01001"))
     for drop in range(1, len(proof.premises)):
-        pruned = Proof(proof.goal, proof.rule, proof.premises[:drop] + proof.premises[drop + 1 :])
-        verdict = check_proof(theory, pruned)
-        assert not verdict.ok
-        assert "not classified" in verdict.reason
+        assert check_proof(theory, without_premise(proof, drop)) == CheckResult(
+            False, f"shorter program {proof.premises[drop].program} is not classified"
+        )
+
+
+def test_checker_accepts_every_frontier_proof_of_a_9_bit_theory():
+    theory = theory_for_programs(shorter_valid_programs(10), 1000)
+    report = elegance_frontier(theory)
+    assert report.frontier == 7 and len(report.proven) == 7
+    for program in report.proven:
+        proof = prove(theory, Statement("elegant", program))
+        assert check_proof(theory, proof) == CheckResult(True)
+    # The longest proof has several side premises: dropping any one names exactly its program.
+    longest = prove(theory, Statement("elegant", report.proven[-1]))
+    assert len(longest.premises) > 3
+    for drop in range(1, len(longest.premises)):
+        assert check_proof(theory, without_premise(longest, drop)) == CheckResult(
+            False, f"shorter program {longest.premises[drop].program} is not classified"
+        )
 
 
 def test_checker_rejects_foreign_premise():
