@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import elegant, enumerator, omega, reals, theory, vm
 
@@ -23,6 +24,8 @@ EXIT_USAGE = 2
 
 DEFAULT_OMEGA_BITS = 16
 BOREL_CHUNK = 4096  # report lines per write
+
+T = TypeVar("T")
 
 
 class UsageError(Exception):
@@ -73,15 +76,21 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _read(path: str | Path, load: Callable[[str | Path], T], *errors: type[Exception]) -> T:
+    """load(path), the one way in for input files: an unreadable file is a
+    "cannot read <path>" usage error, non-ASCII or `errors` a "<path>" one."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, *errors) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
 def _data_lines(path: str | Path) -> list[tuple[int, str]]:
     """(line number, stripped text) of each line of an ASCII file that is
     neither blank nor a '#' comment."""
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+    text = _read(path, lambda p: Path(p).read_text(encoding="ascii"))
     return [
         (num, stripped)
         for num, line in enumerate(text.splitlines(), start=1)
@@ -112,48 +121,32 @@ def _read_programs_file(path: str | Path) -> list[str]:
 
 
 def _worker_count(requested: int | None) -> int:
+    """--workers when given, else the CPUs this process may run on."""
     if requested is not None:
-        workers = requested
-    elif hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    cap = os.environ.get("OMEGALAB_THREADS")
-    if cap is not None:
-        try:
-            cap_value = int(cap)
-        except ValueError:
-            raise UsageError(f"OMEGALAB_THREADS must be an integer, got {cap!r}") from None
-        if cap_value < 1:
-            raise UsageError("OMEGALAB_THREADS must be >= 1")
-        workers = min(workers, cap_value)
-    return workers
+        return requested
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _load_checkpoint(path: str) -> enumerator.EnumState:
-    try:
-        return enumerator.load(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    except (enumerator.CheckpointError, UnicodeDecodeError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     workers = _worker_count(args.workers)
     checkpoint = Path(args.checkpoint)
     if args.resume and checkpoint.exists():
-        state = _load_checkpoint(args.checkpoint)
+        state = _read(args.checkpoint, enumerator.load, enumerator.CheckpointError)
         if args.max_len < state.max_len_done or args.budget < state.budget:
             raise UsageError(
                 f"cannot resume below the saved frontier "
                 f"(len<={state.max_len_done}, budget {state.budget})"
             )
-        state = enumerator.extend(state, args.max_len, args.budget, workers)
+        try:
+            state = enumerator.extend(state, args.max_len, args.budget, workers)
+        except enumerator.CheckpointError as exc:  # an invalid pending record
+            raise UsageError(f"{args.checkpoint}: {exc}") from exc
     else:
         state = enumerator.enumerate_programs(args.max_len, args.budget, workers)
     try:
@@ -173,8 +166,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
-    state = _load_checkpoint(args.checkpoint)
-    check = omega.kraft_check(state.records)
+    state = _read(args.checkpoint, enumerator.load, enumerator.CheckpointError)
+    check = omega.kraft_check(r.program for r in state.records)
     if not check.ok:
         detail = (
             f"prefix pair {check.violation[0]} / {check.violation[1]}"
@@ -284,12 +277,12 @@ def cmd_borel(args: argparse.Namespace) -> int:
 
 
 def _load_theory(path: str, budget: int) -> theory.Theory:
-    try:
-        return theory.load_theory(path, budget)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    except (theory.TheoryFileError, theory.UncertifiableFact, UnicodeDecodeError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+    return _read(
+        path,
+        lambda p: theory.load_theory(p, budget),
+        theory.TheoryFileError,
+        theory.UncertifiableFact,
+    )
 
 
 def cmd_theory_prove(args: argparse.Namespace) -> int:
@@ -336,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_pos_int,
         default=None,
-        help="scan in this many processes (default: the CPUs available; "
-        "OMEGALAB_THREADS caps it)",
+        help="scan in this many processes (default: the CPUs this process may run on)",
     )
     p.set_defaults(handler=cmd_enumerate)
 

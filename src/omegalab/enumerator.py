@@ -47,7 +47,7 @@ class EnumState:
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file that cannot be trusted; the message names the line."""
+    """A checkpoint that cannot be trusted; the message names the line or program."""
 
 
 def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[list[tuple[str, str, int]], list[str]]:
@@ -93,13 +93,13 @@ def _scan_lengths(
 def enumerate_programs(max_len: int, budget: int, workers: int = 1) -> EnumState:
     """Classify every valid program of length 1..max_len at `budget` steps.
 
-    The result is a pure function of (max_len, budget): the same state
-    comes back whatever the worker count or execution order.
+    That is `extend` from the empty census at the same budget. The result
+    is a pure function of (max_len, budget): the same state comes back
+    whatever the worker count or execution order.
     """
     if max_len < 0 or budget < 0 or workers < 1:
         raise ValueError("max_len, budget must be >= 0 and workers >= 1")
-    records, pending = _scan_lengths(range(1, max_len + 1), budget, workers)
-    return EnumState(max_len, budget, frozenset(records), frozenset(pending))
+    return extend(EnumState(0, budget, frozenset(), frozenset()), max_len, budget, workers)
 
 
 def refine(state: EnumState, new_budget: int) -> EnumState:
@@ -110,14 +110,18 @@ def refine(state: EnumState, new_budget: int) -> EnumState:
     pending program that revisits a control state stays pending after a few
     steps, at most three times the step of its first revisit, because `run`
     stops there; only one that never revisits, such as counter growth,
-    costs the whole budget.
+    costs the whole budget. An invalid pending program, which only a forged
+    checkpoint holds, raises CheckpointError naming the first in length-lex order.
     """
     if new_budget <= state.budget:
         raise ValueError(f"new budget {new_budget} must exceed current {state.budget}")
     records = set(state.records)
     pending: set[str] = set()
-    for bits in state.pending:
-        outcome = run(bits, new_budget)
+    for bits in sorted(state.pending, key=_length_lex):
+        try:
+            outcome = run(bits, new_budget)
+        except InvalidProgram as exc:
+            raise CheckpointError(f"pending program {bits} is not a program ({exc})") from exc
         if isinstance(outcome, Halted):
             records.add(HaltRecord(bits, outcome.output, outcome.steps))
         else:
@@ -133,8 +137,6 @@ def extend(state: EnumState, max_len: int, budget: int, workers: int = 1) -> Enu
         raise ValueError(f"cannot lower budget below {state.budget}")
     if budget > state.budget:
         state = refine(state, budget)
-    if max_len == state.max_len_done:
-        return state
     records, pending = _scan_lengths(
         range(state.max_len_done + 1, max_len + 1), budget, workers
     )
@@ -194,9 +196,8 @@ def load(source: str | Path) -> EnumState:
     lines = Path(source).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"line 1: expected header {CHECKPOINT_MAGIC!r}")
-    records: set[HaltRecord] = set()
+    records: dict[str, HaltRecord] = {}
     pending: set[str] = set()
-    listed: set[str] = set()
     frontier: tuple[int, int] | None = None
     for num, line in enumerate(lines[1:], start=2):
         if frontier is not None:
@@ -222,11 +223,10 @@ def load(source: str | Path) -> EnumState:
         else:
             raise CheckpointError(f"line {num}: unknown record type {kind!r}")
         program = fields[1]
-        if program in listed:
+        if program in records or program in pending:
             raise CheckpointError(f"line {num}: program {program} listed twice")
-        listed.add(program)
         if kind == "H":
-            records.add(HaltRecord(program, "" if output == "-" else output, int(fields[3])))
+            records[program] = HaltRecord(program, "" if output == "-" else output, int(fields[3]))
         else:
             pending.add(program)
     if frontier is None:
@@ -244,4 +244,4 @@ def load(source: str | Path) -> EnumState:
             raise CheckpointError(
                 f"line {num}: {int(fields[3])} steps exceed the FRONTIER budget {budget}"
             )
-    return EnumState(max_len, budget, frozenset(records), frozenset(pending))
+    return EnumState(max_len, budget, frozenset(records.values()), frozenset(pending))

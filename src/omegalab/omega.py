@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .enumerator import EnumState, HaltRecord, _length_lex
+from .enumerator import EnumState, _length_lex
 
 
 class DuplicateProgram(ValueError):
@@ -69,14 +69,12 @@ class KraftResult:
     violation: tuple[str, str] | None = None  # (prefix, extension) when not prefix-free
 
 
-def kraft_check(records: Iterable[HaltRecord | str]) -> KraftResult:
-    """Verify a census is prefix-free with total mass strictly below one."""
-    programs = sorted(
-        {r.program if isinstance(r, HaltRecord) else r for r in records},
-        key=_length_lex,
-    )
-    mass = _mass(programs)
+def kraft_check(programs: Iterable[str]) -> KraftResult:
+    """Verify a set of program strings is prefix-free with total mass
+    strictly below one."""
     members = set(programs)
+    programs = sorted(members, key=_length_lex)
+    mass = _mass(programs)
     for p in programs:
         for cut in range(1, len(p)):
             if p[:cut] in members:

@@ -45,7 +45,7 @@ def digit_at(stream: DigitStream, n: int, budget: int) -> int | None:
     if n < 0:
         raise ValueError("digit index must be >= 0")
     need = BITS_PER_DIGIT * (n + 1)
-    out = stream_output(decode(stream.program), budget, need)
+    out = stream_output(stream.program, budget, need)
     if len(out) < need:
         return None
     return int(out[need - BITS_PER_DIGIT : need], 2) % 10

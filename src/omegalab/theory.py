@@ -137,6 +137,11 @@ def _certify_fact(fact: Statement, budget: int) -> None:
                 f"{fact.canonical()}: no loop certificate within {budget} steps"
             )
         return
+    if isinstance(outcome, LoopCert):
+        raise UncertifiableFact(
+            f"{fact.canonical()}: never halts"
+            f" (control state revisited at step {outcome.revisit_step})"
+        )
     if not isinstance(outcome, Halted):
         raise UncertifiableFact(f"{fact.canonical()}: still running after {budget} steps")
     if fact.kind == "outputs" and outcome.output != fact.output:
@@ -282,7 +287,7 @@ class FrontierReport:
     proven: tuple[str, ...]
 
 
-def elegance_frontier(theory: Theory, max_goal_len: int | None = None) -> FrontierReport:
+def elegance_frontier(theory: Theory) -> FrontierReport:
     """Largest program size provably elegant, paired with the theory's N.
 
     Goals are tried in length-lex order over the programs that carry an
@@ -295,8 +300,6 @@ def elegance_frontier(theory: Theory, max_goal_len: int | None = None) -> Fronti
     )
     proven: list[str] = []
     for p in candidates:
-        if max_goal_len is not None and len(p) > max_goal_len:
-            continue
         if isinstance(prove(theory, Statement("elegant", p)), Proof):
             proven.append(p)
     frontier = max((len(p) for p in proven), default=0)

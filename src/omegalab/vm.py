@@ -362,13 +362,13 @@ def run(bits: str, budget: int) -> Halted | Running:
     return execute(decode(bits), budget)
 
 
-def stream_output(program: Program, budget: int, want_bits: int) -> str:
-    """Run ignoring halting status; the first `want_bits` emitted bits.
+def stream_output(bits: str, budget: int, want_bits: int) -> str:
+    """Decode and run ignoring halting status; the first `want_bits` bits.
 
     The result is shorter than `want_bits` when the program halts or the
     budget runs out first. A loop does not stop it: the output goes on.
     """
-    _, out, _, _, _ = _run_machine(_compile(program), budget, want_bits=want_bits, window=None)
+    out = _run_machine(_compile(decode(bits)), budget, want_bits=want_bits, window=None)[1]
     return out[:want_bits]
 
 

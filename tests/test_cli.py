@@ -153,22 +153,21 @@ def test_resume_below_saved_frontier_is_refused(tmp_path, capsys):
     assert "frontier" in err
 
 
-def test_enumerate_workers_env_cap(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.ck"
-    capped = tmp_path / "capped.ck"
-    invoke(capsys, "enumerate", "--max-len", "6", "--budget", "50", "--checkpoint", str(serial))
-    monkeypatch.setenv("OMEGALAB_THREADS", "1")
-    code, _, _ = invoke(
+def test_resume_over_an_invalid_pending_record_is_refused(tmp_path, capsys):
+    ck = tmp_path / "c.ck"
+    forged = "OMEGALAB v1\nP 0\nFRONTIER 3 10\n"
+    ck.write_text(forged)
+    code, out, err = invoke(
         capsys,
-        "enumerate", "--max-len", "6", "--budget", "50",
-        "--checkpoint", str(capped), "--workers", "4",
+        "enumerate", "--max-len", "3", "--budget", "20",
+        "--checkpoint", str(ck), "--resume",
     )
-    assert code == 0
-    assert capped.read_bytes() == serial.read_bytes()
+    assert (code, out) == (2, "")
+    assert err == f"omegalab: error: {ck}: pending program 0 is not a program (MalformedGamma)\n"
+    assert ck.read_text() == forged
 
 
-def test_enumerate_defaults_to_the_available_cpus(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("OMEGALAB_THREADS", raising=False)
+def test_enumerate_defaults_to_the_available_cpus(tmp_path, capsys):
     assert cli._worker_count(None) == len(os.sched_getaffinity(0))
     default = tmp_path / "default.ck"
     serial = tmp_path / "serial.ck"
@@ -176,17 +175,6 @@ def test_enumerate_defaults_to_the_available_cpus(tmp_path, capsys, monkeypatch)
     assert invoke(capsys, *args, str(default))[0] == 0
     assert invoke(capsys, *args, str(serial), "--workers", "1")[0] == 0
     assert default.read_bytes() == serial.read_bytes()
-
-
-def test_bad_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OMEGALAB_THREADS", "many")
-    code, _, err = invoke(
-        capsys,
-        "enumerate", "--max-len", "3", "--budget", "10",
-        "--checkpoint", str(tmp_path / "c.ck"),
-    )
-    assert code == 2
-    assert "OMEGALAB_THREADS" in err
 
 
 # --- elegant / compress -------------------------------------------------------
@@ -440,21 +428,73 @@ def test_reports_are_byte_identical_across_invocations(tmp_path, capsys):
 
 # --- input files ------------------------------------------------------------------
 
-
-@pytest.mark.parametrize(
-    "argv",
-    [
+# Every command that reads a file, with the file's flag last, and a file
+# content each command rejects, with the reason it gives.
+FILE_COMMANDS = {
+    "omega": (
         ("omega", "--checkpoint"),
+        "OMEGALAB v1\nH 1 - 0\nH 10 - 1\nFRONTIER 2 9\n",
+        "census fails the Kraft check (prefix pair 1 / 10)",
+    ),
+    "enumerate-resume": (
         ("enumerate", "--max-len", "6", "--budget", "10", "--resume", "--checkpoint"),
+        "OMEGALAB v1\nH 1 - 0\nP 1\nFRONTIER 5 10\n",
+        "line 3: program 1 listed twice",
+    ),
+    "cover": (
         ("cover", "--epsilon", "1/4", "--points"),
+        "1/2\n0.5\n",
+        "line 2: expected integer ratio 'p/q', got '0.5'",
+    ),
+    "theory-prove": (
+        ("theory", "prove", "--goal", "(halts 1)", "--theory"),
+        "(loops 01001)\n",
+        "(loops 01001): no loop certificate within 10000 steps",
+    ),
+    "theory-frontier": (
         ("theory", "frontier", "--theory"),
+        "(outputs 1 eps)\n(nonsense)\n",
+        "line 2: unknown keyword 'nonsense' (at position 1)",
+    ),
+    "diag": (
         ("diag", "--digits", "1", "--budget", "10", "--programs"),
-    ],
-    ids=["omega", "enumerate-resume", "cover", "theory-frontier", "diag"],
-)
-def test_non_ascii_input_file_is_a_usage_error(tmp_path, capsys, argv):
+        "10\n",
+        "invalid program 10: Leftover",
+    ),
+}
+
+
+def _file_error(capsys, command, path):
+    code, out, err = invoke(capsys, *FILE_COMMANDS[command][0], str(path))
+    assert (code, out) == (2, "")
+    return err
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_non_ascii_input_file_is_a_usage_error(tmp_path, capsys, command):
     path = tmp_path / "input.txt"
     path.write_bytes(b"1\n\xc3\xa9\n")
-    code, out, err = invoke(capsys, *argv, str(path))
-    assert (code, out) == (2, "")
-    assert f"{path}: " in err and "Traceback" not in err
+    assert _file_error(capsys, command, path) == (
+        f"omegalab: error: {path}: 'ascii' codec can't decode byte 0xc3 in position 2:"
+        " ordinal not in range(128)\n"
+    )
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "input.txt"
+    if command == "enumerate-resume":
+        path.mkdir()  # --resume starts afresh when the file is missing
+        reason = f"[Errno 21] Is a directory: '{path}'"
+    else:
+        reason = f"[Errno 2] No such file or directory: '{path}'"
+    assert _file_error(capsys, command, path) == f"omegalab: error: cannot read {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_rejected_input_file_names_the_file(tmp_path, capsys, command):
+    _, content, reason = FILE_COMMANDS[command]
+    path = tmp_path / "input.txt"
+    path.write_text(content)
+    assert _file_error(capsys, command, path) == f"omegalab: error: {path}: {reason}\n"
+    assert path.read_text() == content

@@ -113,8 +113,8 @@ def test_matches_naive_mass():
 
 
 def test_kraft_check_on_real_census():
-    census = enumerate_programs(10, 1000).records
-    mass = sum((Fraction(1, 2 ** len(r.program)) for r in census), start=Fraction(0))
+    census = [r.program for r in enumerate_programs(10, 1000).records]
+    mass = sum((Fraction(1, 2 ** len(p)) for p in census), start=Fraction(0))
     assert mass < 1
     assert kraft_check(census) == KraftResult(True, mass)
     # A prefix of three census programs: the first extension in length-lex order is named.

@@ -19,7 +19,7 @@ from omegalab.theory import (
     shorter_valid_programs,
     theory_for_programs,
 )
-from omegalab.vm import InvalidProgram
+from omegalab.vm import Instruction, InvalidProgram, Op, assemble
 
 SHORT_PROGRAMS = ("1", "01000", "01001", "01010")  # every valid program <= 6 bits
 
@@ -125,6 +125,25 @@ def test_certified_theory_rejects_false_output():
 def test_certified_theory_rejects_false_loop():
     with pytest.raises(UncertifiableFact):
         Theory.certified([Statement("loops", "01001")], budget=100)
+
+
+@pytest.mark.parametrize(
+    "fact", [Statement("halts", "0101110010"), Statement("outputs", "0101110010", "")]
+)
+def test_certification_says_a_looping_program_never_halts(fact):
+    # 0101110010 is DJZA(-1): it is back at its start state after one step.
+    with pytest.raises(UncertifiableFact) as caught:
+        Theory.certified([fact])
+    assert str(caught.value) == (
+        f"{fact.canonical()}: never halts (control state revisited at step 1)"
+    )
+
+
+def test_certification_of_counter_growth_is_still_running():
+    growth = assemble([Instruction(Op.INCA), Instruction(Op.DJZB, -2)]).bits
+    with pytest.raises(UncertifiableFact) as caught:
+        Theory.certified([Statement("halts", growth)], budget=100)
+    assert str(caught.value) == f"(halts {growth}): still running after 100 steps"
 
 
 def test_certified_theory_rejects_elegant_facts():
@@ -344,9 +363,9 @@ def test_frontier_monotone_under_fact_addition():
 
 
 def test_frontier_goal_length_cap():
-    theory = full_theory()
-    assert elegance_frontier(theory).frontier == 5
-    assert elegance_frontier(theory, max_goal_len=1).frontier == 1
+    # The frontier is the length of the longest goal proven elegant.
+    report = elegance_frontier(full_theory())
+    assert report.frontier == max(len(p) for p in report.proven) == 5
 
 
 # --- theory files ------------------------------------------------------------

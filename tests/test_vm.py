@@ -449,4 +449,4 @@ def test_every_simulation_rejects_a_negative_budget():
         with pytest.raises(ValueError, match="budget"):
             simulate("0101110010", -1)
     with pytest.raises(ValueError, match="budget"):
-        stream_output(decode("0101110010"), -1, 1)
+        stream_output("0101110010", -1, 1)
