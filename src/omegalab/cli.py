@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -263,16 +263,12 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 def cmd_borel(args: argparse.Namespace) -> int:
     strings = islice(reals.borel_strings(), args.prefix)
-    lines = (
-        f"{k} {text} {reals.classify_text(text, args.budget)}"
-        for k, text in enumerate(strings, start=1)
-    )
     # Written in chunks so memory does not grow with --prefix. The first
     # chunk is written even when empty: an empty report is one newline.
-    chunk = list(islice(lines, BOREL_CHUNK))
-    _emit(chunk)
-    while chunk := list(islice(lines, BOREL_CHUNK)):
-        _emit(chunk)
+    for k in range(1, max(args.prefix, 1) + 1, BOREL_CHUNK):
+        chunk = list(islice(strings, BOREL_CHUNK))
+        digits = reals.borel_digits(chunk, args.budget)
+        _emit([f"{n} {text} {d}" for n, text, d in zip(count(k), chunk, digits)])
     return EXIT_OK
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -78,6 +77,10 @@ def _scan_lengths(
         for lo in range(0, 1 << length, SCAN_CHUNK)
     ]
     if workers > 1 and len(chunks) > 1:
+        # Imported here: every other command would pay for loading
+        # multiprocessing without ever starting a pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, chunks))
     else:

@@ -9,7 +9,8 @@ construction. The single inference rule, ELEGANT-INTRO, derives
 syntactically valid shorter program. The theory's size N is eight bits
 per character of its canonical serialization; elegance_frontier pairs
 that N with the largest program size provably elegant, which is the
-desk-scale face of the incompleteness trend.
+desk-scale face of the incompleteness trend. It indexes the theory once
+and walks the grammar once, whatever the number of goals it tries.
 
 Constructing Theory(...) directly skips certification. That backdoor
 exists for tests that need deliberately unsound theories; real theories
@@ -18,8 +19,10 @@ come from Theory.certified, theory_for_programs, or load_theory.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 from .vm import Halted, InvalidProgram, LoopCert, classify, programs
 
@@ -199,34 +202,52 @@ def shorter_valid_programs(length: int) -> list[str]:
     return [bits for n in range(1, length) for bits in programs(n)]
 
 
-def prove(theory: Theory, goal: Statement) -> Proof | Unprovable:
-    """Derive `goal` from the theory, deterministically.
+class _Index(NamedTuple):
+    """What the prover reads of one theory, each part built once."""
 
-    Facts are theorems outright. ELEGANT-INTRO: from (outputs p s) and,
-    for every valid program q shorter than p, either (loops q) or
-    (outputs q s_q) with s_q != s, conclude (elegant p). An Unprovable
-    elegance goal lists the shorter programs whose classification is
-    missing (including p itself when it has no outputs fact).
+    facts: frozenset[Statement]
+    outputs: dict[str, list[Statement]]  # each program's outputs facts, in theory order
+    loops: dict[str, Statement]  # each program's loops fact
+    shorter: list[str]  # valid programs shorter than the longest goal, length-lex
+
+
+def _index(theory: Theory, goals: Iterable[str]) -> _Index:
+    """Index `theory` for proving (elegant p) for p in `goals`.
+
+    The grammar is walked once, up to the longest goal with an outputs
+    fact: no other goal reaches the side condition of ELEGANT-INTRO.
     """
-    facts = theory.facts
-    if goal in facts:
+    outputs: dict[str, list[Statement]] = {}
+    for f in theory.facts:
+        if f.kind == "outputs":
+            outputs.setdefault(f.program, []).append(f)
+    longest = max((len(p) for p in goals if p in outputs), default=0)
+    return _Index(
+        frozenset(theory.facts),
+        outputs,
+        {f.program: f for f in theory.facts if f.kind == "loops"},
+        shorter_valid_programs(longest),
+    )
+
+
+def _derive(index: _Index, goal: Statement) -> Proof | Unprovable:
+    """The inference rules, applied to one goal over an indexed theory."""
+    if goal in index.facts:
         return Proof(goal, "FACT", ())
     if goal.kind != "elegant":
         return Unprovable(goal, ())
     p = goal.program
-    base = next((f for f in facts if f.kind == "outputs" and f.program == p), None)
-    if base is None:
+    if p not in index.outputs:
         return Unprovable(goal, (p,))
-    # Each program's premise, indexed once: its loops fact, else its first
-    # outputs fact (in theory order) whose output differs from p's.
-    sides = {
-        f.program: f for f in reversed(facts) if f.kind == "outputs" and f.output != base.output
-    }
-    sides.update((f.program, f) for f in facts if f.kind == "loops")
+    base = index.outputs[p][0]
     premises = [base]
     missing: list[str] = []
-    for q in shorter_valid_programs(len(p)):
-        side = sides.get(q)
+    # A shorter program's premise is its loops fact, else its first
+    # outputs fact (in theory order) whose output differs from p's.
+    for q in index.shorter[: bisect_left(index.shorter, len(p), key=len)]:
+        side = index.loops.get(q)
+        if side is None:
+            side = next((f for f in index.outputs.get(q, ()) if f.output != base.output), None)
         if side is None:
             missing.append(q)
         else:
@@ -234,6 +255,20 @@ def prove(theory: Theory, goal: Statement) -> Proof | Unprovable:
     if missing:
         return Unprovable(goal, tuple(missing))
     return Proof(goal, "ELEGANT-INTRO", tuple(premises))
+
+
+def prove(theory: Theory, goal: Statement) -> Proof | Unprovable:
+    """Derive `goal` from the theory, deterministically.
+
+    Facts are theorems outright. ELEGANT-INTRO: from (outputs p s) and,
+    for every valid program q shorter than p, either (loops q) or
+    (outputs q s_q) with s_q != s, conclude (elegant p). An Unprovable
+    elegance goal lists the shorter programs whose classification is
+    missing (including p itself when it has no outputs fact). The
+    theory's facts are indexed once, and the grammar is walked at most
+    once, below the goal's length.
+    """
+    return _derive(_index(theory, (goal.program,) if goal.kind == "elegant" else ()), goal)
 
 
 @dataclass(frozen=True)
@@ -292,18 +327,20 @@ def elegance_frontier(theory: Theory) -> FrontierReport:
 
     Goals are tried in length-lex order over the programs that carry an
     outputs fact; nothing else can satisfy ELEGANT-INTRO, so the scan is
-    finite. Adding facts never shrinks the frontier.
+    finite. Every goal is decided by the rules `prove` applies, over one
+    index of the theory and one grammar walk up to the longest goal.
+    Adding facts never shrinks the frontier.
     """
     candidates = sorted(
         {f.program for f in theory.facts if f.kind == "outputs"},
         key=lambda p: (len(p), p),
     )
-    proven: list[str] = []
-    for p in candidates:
-        if isinstance(prove(theory, Statement("elegant", p)), Proof):
-            proven.append(p)
+    index = _index(theory, candidates)
+    proven = tuple(
+        p for p in candidates if isinstance(_derive(index, Statement("elegant", p)), Proof)
+    )
     frontier = max((len(p) for p in proven), default=0)
-    return FrontierReport(theory.size_bits, frontier, tuple(proven))
+    return FrontierReport(theory.size_bits, frontier, proven)
 
 
 def parse_theory_text(text: str) -> tuple[Statement, ...]:

@@ -1,10 +1,12 @@
 import os
 from fractions import Fraction
+from itertools import count, product
 
 import pytest
 
 from omegalab import cli
 from omegalab.cli import main, parse_points_file, UsageError
+from omegalab.reals import BOREL_ALPHABET, classify_text
 
 
 def invoke(capsys, *argv):
@@ -316,6 +318,24 @@ def test_borel_report_is_the_same_across_write_chunks(capsys, monkeypatch):
         assert code == 0
         # an empty report is one newline
         assert out == ("".join(whole.splitlines(keepends=True)[:prefix]) or "\n")
+
+
+def test_borel_report_past_the_all_zero_prefix(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "BOREL_CHUNK", 97)
+    code, out, _ = invoke(capsys, "borel", "--prefix", "14047", "--budget", "10")
+    texts = ("".join(chars) for n in count(1) for chars in product(BOREL_ALPHABET, repeat=n))
+    want = [f"{k} {text} {classify_text(text, 10)}" for k, text in zip(range(1, 14048), texts)]
+    lines = out.splitlines()
+    assert code == 0 and out.endswith("\n") and len(lines) == len(want)
+    # the first differing line, not a diff of 14,047 lines
+    assert next((pair for pair in zip(lines, want) if pair[0] != pair[1]), None) is None
+    assert all(line.endswith(" 0") for line in lines[:13845])
+    # a statement; the empty program halts; "e" is not a program
+    assert [lines[k - 1] for k in (13846, 13947, 14047)] == [
+        "13846 H(0). 1",
+        "13947 H(1)? 4",
+        "14047 H(e)? 3",
+    ]
 
 
 # --- theory ---------------------------------------------------------------------

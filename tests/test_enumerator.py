@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from omegalab import enumerator
@@ -228,6 +233,18 @@ def test_parallel_enumeration_matches_serial():
     serial = enumerate_programs(7, 100)
     for workers in (2, 3):
         assert enumerate_programs(7, 100, workers=workers) == serial
+
+
+def test_importing_the_cli_leaves_the_worker_pool_unloaded():
+    # Only a parallel scan needs the pool, so only it pays for the import.
+    path = [str(Path(enumerator.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = (
+        "import omegalab.cli, sys; print(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_small_chunks_match_serial(monkeypatch):

@@ -9,6 +9,7 @@ from omegalab.reals import (
     CoverInterval,
     DigitStream,
     borel_cover,
+    borel_digits,
     borel_strings,
     classify_text,
     diagonal,
@@ -229,6 +230,24 @@ def test_garbage_strings():
 def test_every_string_gets_exactly_one_digit():
     for text in islice(borel_strings(), 2000):
         assert classify_text(text, 20) in (0, 1, 2, 3, 4)
+
+
+def test_batch_digits_equal_classify_text():
+    texts = ["".join(chars) for n in range(5) for chars in product(BOREL_ALPHABET, repeat=n)]
+    assert len(texts) == 11_111  # every string of at most 4 characters
+    # Seeded questions and statements about programs that halt with some
+    # output, loop, grow a counter forever (undecided) or are not programs.
+    growth = assemble([Instruction(Op.INCA), Instruction(Op.DJZB, -2)]).bits
+    programs = ["e", "1", "01000", "01001", "01010", "0101110010", growth, "10", "0110"]
+    outputs = ["e", "0", "1", "00", "01"]
+    rng = random.Random(13)
+    for _ in range(2000):
+        p, s = rng.choice(programs), rng.choice(outputs)
+        texts.append(rng.choice((f"O({p},{s})?", f"O({p},{s}).", f"H({p})?", f"H({p}).")))
+    digits = borel_digits(texts, 50)
+    assert digits == [classify_text(text, 50) for text in texts]
+    assert set(digits[11_111:]) == {1, 2, 3, 4}
+    assert borel_digits([], 50) == []
 
 
 def test_budget_refinement_is_monotone():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from omegalab.theory import (
@@ -20,6 +22,8 @@ from omegalab.theory import (
     theory_for_programs,
 )
 from omegalab.vm import Instruction, InvalidProgram, Op, assemble
+
+from naive_vm import all_strings_upto, naive_loop, naive_reason, naive_run
 
 SHORT_PROGRAMS = ("1", "01000", "01001", "01010")  # every valid program <= 6 bits
 
@@ -366,6 +370,91 @@ def test_frontier_goal_length_cap():
     # The frontier is the length of the longest goal proven elegant.
     report = elegance_frontier(full_theory())
     assert report.frontier == max(len(p) for p in report.proven) == 5
+
+
+# --- frontier against a literal oracle ------------------------------------------
+
+ORACLE_MAX_LEN = 10
+OUTPUTS = ("", "0", "1", "00", "01", "10", "11")
+
+
+def brute_force_programs(max_len):
+    """Valid programs of 1..max_len bits in length-lex order, found by
+    trying every bit string against the naive reader."""
+    return [s for s in all_strings_upto(max_len) if naive_reason(s) is None]
+
+
+VALID = brute_force_programs(ORACLE_MAX_LEN)
+
+
+def oracle_frontier(theory):
+    """ELEGANT-INTRO as its statement reads, one goal at a time.
+
+    A goal (elegant p) for a program p with an outputs fact holds when it
+    is a fact, or when, taking s from p's first outputs fact, every valid
+    program shorter than p has a loops fact or an outputs fact whose
+    output is not s.
+    """
+    facts = theory.facts
+    candidates = sorted(
+        {f.program for f in facts if f.kind == "outputs"}, key=lambda p: (len(p), p)
+    )
+    proven = []
+    for p in candidates:
+        s = next(f.output for f in facts if f.kind == "outputs" and f.program == p)
+        if Statement("elegant", p) in facts or all(
+            Statement("loops", q) in facts
+            or any(f.kind == "outputs" and f.program == q and f.output != s for f in facts)
+            for q in VALID
+            if len(q) < len(p)
+        ):
+            proven.append(p)
+    return tuple(proven)
+
+
+def random_theory(rng):
+    """Machine-true facts about valid programs, then damaged: facts
+    dropped, outputs duplicated or contradicted, halting programs said to
+    loop, an elegance fact, an outputs fact for a non-program, all
+    shuffled, since the prover reads facts in theory order."""
+    facts = []
+    for q in VALID:
+        if rng.random() < 0.15:
+            continue
+        run = naive_run(q, 100)
+        if run[0] == "halted":
+            facts += [Statement("halts", q), Statement("outputs", q, run[1])]
+        elif naive_loop(q, 100) is not None:
+            facts.append(Statement("loops", q))
+    for _ in range(rng.randrange(6)):
+        facts.append(Statement("outputs", rng.choice(VALID), rng.choice(OUTPUTS)))
+    for _ in range(rng.randrange(3)):
+        facts.append(rng.choice([f for f in facts if f.kind == "outputs"]))
+    for _ in range(rng.randrange(3)):
+        facts.append(Statement("loops", rng.choice(VALID)))
+    if rng.random() < 0.5:
+        facts.append(Statement("elegant", rng.choice(VALID)))
+    if rng.random() < 0.3:
+        bits = "".join(rng.choice("01") for _ in range(rng.randrange(1, ORACLE_MAX_LEN + 1)))
+        facts.append(Statement("outputs", bits, rng.choice(OUTPUTS)))
+    rng.shuffle(facts)
+    return Theory(tuple(facts))
+
+
+def test_frontier_matches_the_literal_oracle_on_damaged_theories():
+    rng = random.Random(9)
+    lengths = set()
+    for _ in range(100):
+        theory = random_theory(rng)
+        report = elegance_frontier(theory)
+        assert report.proven == oracle_frontier(theory)
+        assert report.frontier == max((len(p) for p in report.proven), default=0)
+        lengths.add(report.frontier)
+        for p in report.proven:
+            proof = prove(theory, Statement("elegant", p))
+            assert isinstance(proof, Proof)
+            assert check_proof(theory, proof) == CheckResult(True)
+    assert len(lengths) > 3  # the damage moves the frontier, not only the facts
 
 
 # --- theory files ------------------------------------------------------------
