@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .vm import Halted, InvalidProgram, run
+from .vm import Halted, InvalidProgram, decode, programs, run
 
 CHECKPOINT_MAGIC = "OMEGALAB v1"
 SCAN_CHUNK = 1 << 15  # strings of one length per unit of pool work
@@ -113,18 +113,15 @@ def refine(state: EnumState, new_budget: int) -> EnumState:
     pending program that revisits a control state stays pending after a few
     steps, at most three times the step of its first revisit, because `run`
     stops there; only one that never revisits, such as counter growth,
-    costs the whole budget. An invalid pending program, which only a forged
-    checkpoint holds, raises CheckpointError naming the first in length-lex order.
+    costs the whole budget. The pending programs are trusted to be
+    programs: a loaded checkpoint has been checked against the grammar.
     """
     if new_budget <= state.budget:
         raise ValueError(f"new budget {new_budget} must exceed current {state.budget}")
     records = set(state.records)
     pending: set[str] = set()
-    for bits in sorted(state.pending, key=_length_lex):
-        try:
-            outcome = run(bits, new_budget)
-        except InvalidProgram as exc:
-            raise CheckpointError(f"pending program {bits} is not a program ({exc})") from exc
+    for bits in state.pending:
+        outcome = run(bits, new_budget)
         if isinstance(outcome, Halted):
             records.add(HaltRecord(bits, outcome.output, outcome.steps))
         else:
@@ -189,18 +186,21 @@ def _is_bits(s: str) -> bool:
 
 
 def load(source: str | Path) -> EnumState:
-    """Read a checkpoint back; load(save(s)) == s.
+    """Read a checkpoint back, trusted only as a complete census; load(save(s)) == s.
 
     Besides the syntax, the records must fit their FRONTIER trailer: no
     program listed twice (as H or P), none longer than the frontier length,
-    and no H record with more steps than the frontier budget. The offending
-    line is named. Records are not decoded or re-run here.
+    and no H record with more steps than the frontier budget. Then each
+    record must be a program, and every program up to the frontier length
+    must be listed: the smallest missing one is named at the trailer. The
+    offending line is named. The records are compared with `vm.programs`,
+    so a valid checkpoint is never decoded; H outputs and steps are not re-run.
     """
     lines = Path(source).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"line 1: expected header {CHECKPOINT_MAGIC!r}")
     records: dict[str, HaltRecord] = {}
-    pending: set[str] = set()
+    listed: dict[str, int] = {}  # every H or P program -> its line, in file order
     frontier: tuple[int, int] | None = None
     for num, line in enumerate(lines[1:], start=2):
         if frontier is not None:
@@ -226,25 +226,38 @@ def load(source: str | Path) -> EnumState:
         else:
             raise CheckpointError(f"line {num}: unknown record type {kind!r}")
         program = fields[1]
-        if program in records or program in pending:
+        if program in listed:
             raise CheckpointError(f"line {num}: program {program} listed twice")
+        listed[program] = num
         if kind == "H":
             records[program] = HaltRecord(program, "" if output == "-" else output, int(fields[3]))
-        else:
-            pending.add(program)
     if frontier is None:
         raise CheckpointError(f"line {len(lines) + 1}: missing FRONTIER trailer")
     max_len, budget = frontier
-    # The trailer comes last, so the records are checked against it in a
-    # second pass over the (now well-formed) record lines.
-    for num, line in enumerate(lines[1:-1], start=2):
-        fields = line.split(" ")
-        if len(fields[1]) > max_len:
+    for program, num in listed.items():
+        if len(program) > max_len:
             raise CheckpointError(
-                f"line {num}: program {fields[1]} is longer than the FRONTIER length {max_len}"
+                f"line {num}: program {program} is longer than the FRONTIER length {max_len}"
             )
-        if fields[0] == "H" and int(fields[3]) > budget:
+        if program in records and records[program].steps > budget:
             raise CheckpointError(
-                f"line {num}: {int(fields[3])} steps exceed the FRONTIER budget {budget}"
+                f"line {num}: {records[program].steps} steps exceed the FRONTIER budget {budget}"
             )
+    # Tick off the programs in length-lex order up to the first one not
+    # listed, so a trailer that claims more than the file lists costs no
+    # more than the records. What is left unticked is decoded in file order:
+    # only a checkpoint already known to be wrong gets that far.
+    unticked = dict(listed)
+    walk = (p for n in range(1, max_len + 1) for p in programs(n))
+    missing = next((p for p in walk if unticked.pop(p, None) is None), None)
+    for program, num in unticked.items():
+        try:
+            decode(program)
+        except InvalidProgram as exc:
+            raise CheckpointError(f"line {num}: {program} is not a program ({exc})") from exc
+    if missing is not None:
+        raise CheckpointError(
+            f"line {len(lines)}: FRONTIER length {max_len} but program {missing} is not listed"
+        )
+    pending = listed.keys() - records.keys()
     return EnumState(max_len, budget, frozenset(records.values()), frozenset(pending))

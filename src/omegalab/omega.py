@@ -16,10 +16,6 @@ from typing import Iterable
 from .enumerator import EnumState, _length_lex
 
 
-class DuplicateProgram(ValueError):
-    """The same program credited twice; a census bug, never a no-op."""
-
-
 @dataclass(frozen=True)
 class OmegaBound:
     value: Fraction
@@ -36,13 +32,10 @@ def from_state(state: EnumState) -> OmegaBound:
     """The bound of a whole census: each K-bit halting program adds 1/2^K.
 
     Linear: one pass counts the programs of each length K, and each length
-    adds count_K/2^K. A program credited twice raises DuplicateProgram
-    naming the smallest such program in length-lex order.
+    adds count_K/2^K. `load` and `extend` give distinct programs, which
+    form a prefix-free set, so the sum is below one (Kraft).
     """
-    programs = [rec.program for rec in state.records]
-    if len(set(programs)) != len(programs):
-        twice = [p for p, n in Counter(programs).items() if n > 1]
-        raise DuplicateProgram(min(twice, key=_length_lex))
+    programs = (rec.program for rec in state.records)
     return OmegaBound(_mass(programs), (state.max_len_done, state.budget))
 
 

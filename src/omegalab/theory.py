@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .vm import Halted, InvalidProgram, LoopCert, classify, programs
 
@@ -127,11 +128,11 @@ def certify_run_axioms(program: str, budget: int) -> list[Statement]:
     return []
 
 
-def _certify_fact(fact: Statement, budget: int) -> None:
+def _certify_fact(fact: Statement, budget: int, classified: Callable[[str], object]) -> None:
     if fact.kind not in FACT_KINDS:
         raise UncertifiableFact(f"{fact.canonical()}: facts are limited to halts/outputs/loops")
     try:
-        outcome = classify(fact.program, budget)
+        outcome = classified(fact.program)
     except InvalidProgram as exc:
         raise UncertifiableFact(f"{fact.canonical()}: invalid program ({exc})") from exc
     if fact.kind == "loops":
@@ -166,10 +167,12 @@ class Theory:
 
     @classmethod
     def certified(cls, facts, budget: int = DEFAULT_CERT_BUDGET) -> "Theory":
-        """Build a theory, re-verifying every fact against the machine."""
+        """Build a theory, re-verifying every fact against the machine; each
+        distinct program is classified once, however many facts state it."""
         facts = tuple(facts)
+        classified = cache(lambda program: classify(program, budget))
         for fact in facts:
-            _certify_fact(fact, budget)
+            _certify_fact(fact, budget, classified)
         return cls(facts)
 
 

@@ -74,11 +74,40 @@ def test_omega_report(tmp_path, capsys):
 
 
 def test_omega_rejects_corrupt_checkpoint(tmp_path, capsys):
+    # 1 is a prefix of 10, but 10 is caught first: it is not a program.
     ck = tmp_path / "c.ck"
-    ck.write_text("OMEGALAB v1\nH 1 - 0\nH 10 - 1\nFRONTIER 2 9\n")
-    code, _, err = invoke(capsys, "omega", "--checkpoint", str(ck))
-    assert code == 2
-    assert "Kraft" in err
+    forged = "OMEGALAB v1\nH 1 - 0\nH 10 - 1\nFRONTIER 2 9\n"
+    ck.write_text(forged)
+    code, out, err = invoke(capsys, "omega", "--checkpoint", str(ck))
+    assert (code, out) == (2, "")
+    assert err == f"omegalab: error: {ck}: line 3: 10 is not a program (Leftover)\n"
+    assert ck.read_text() == forged
+
+
+@pytest.mark.parametrize(
+    "argv, records, message",
+    [
+        (("omega",), "H 0 - 0\nFRONTIER 1 10\n", "line 2: 0 is not a program (MalformedGamma)"),
+        (
+            ("enumerate", "--max-len", "4", "--budget", "10", "--resume"),
+            "P 0\nFRONTIER 3 10\n",
+            "line 2: 0 is not a program (MalformedGamma)",
+        ),
+        (  # a partial census: every program below 01001 is missing
+            ("enumerate", "--max-len", "6", "--budget", "10", "--resume"),
+            "H 01001 0 1\nFRONTIER 5 10\n",
+            "line 3: FRONTIER length 5 but program 1 is not listed",
+        ),
+    ],
+)
+def test_checkpoint_must_be_the_census_of_its_frontier(tmp_path, capsys, argv, records, message):
+    ck = tmp_path / "c.ck"
+    forged = f"OMEGALAB v1\n{records}"
+    ck.write_text(forged)
+    code, out, err = invoke(capsys, *argv, "--checkpoint", str(ck))
+    assert (code, out) == (2, "")
+    assert err == f"omegalab: error: {ck}: {message}\n"
+    assert ck.read_text() == forged
 
 
 @pytest.mark.parametrize(
@@ -114,21 +143,24 @@ def test_omega_missing_checkpoint(tmp_path, capsys):
 def test_resume_reproduces_uninterrupted_checkpoint(tmp_path, capsys):
     straight = tmp_path / "full.ck"
     staged = tmp_path / "staged.ck"
-    invoke(capsys, "enumerate", "--max-len", "6", "--budget", "100", "--checkpoint", str(straight))
+    fresh = invoke(
+        capsys, "enumerate", "--max-len", "6", "--budget", "100", "--checkpoint", str(straight)
+    )
     invoke(capsys, "enumerate", "--max-len", "4", "--budget", "40", "--checkpoint", str(staged))
-    code, out, _ = invoke(
+    resumed = invoke(
         capsys,
         "enumerate", "--max-len", "6", "--budget", "100",
         "--checkpoint", str(staged), "--resume",
     )
-    assert code == 0
+    assert resumed == fresh and fresh[0] == 0
     assert staged.read_bytes() == straight.read_bytes()
     # resuming an already-complete run is a no-op with identical bytes
-    invoke(
+    again = invoke(
         capsys,
         "enumerate", "--max-len", "6", "--budget", "100",
         "--checkpoint", str(staged), "--resume",
     )
+    assert again == fresh
     assert staged.read_bytes() == straight.read_bytes()
 
 
@@ -165,7 +197,7 @@ def test_resume_over_an_invalid_pending_record_is_refused(tmp_path, capsys):
         "--checkpoint", str(ck), "--resume",
     )
     assert (code, out) == (2, "")
-    assert err == f"omegalab: error: {ck}: pending program 0 is not a program (MalformedGamma)\n"
+    assert err == f"omegalab: error: {ck}: line 2: 0 is not a program (MalformedGamma)\n"
     assert ck.read_text() == forged
 
 
@@ -454,7 +486,7 @@ FILE_COMMANDS = {
     "omega": (
         ("omega", "--checkpoint"),
         "OMEGALAB v1\nH 1 - 0\nH 10 - 1\nFRONTIER 2 9\n",
-        "census fails the Kraft check (prefix pair 1 / 10)",
+        "line 3: 10 is not a program (Leftover)",
     ),
     "enumerate-resume": (
         ("enumerate", "--max-len", "6", "--budget", "10", "--resume", "--checkpoint"),

@@ -18,7 +18,7 @@ from omegalab.enumerator import (
     save,
 )
 
-from naive_vm import naive_census
+from naive_vm import naive_census, naive_reason
 
 EXPECTED_5_100 = """\
 OMEGALAB v1
@@ -209,11 +209,44 @@ def test_load_rejects_records_past_the_frontier(tmp_path, records, message):
 
 
 def test_load_accepts_records_at_the_frontier(tmp_path):
+    # A complete census with records on both FRONTIER bounds: programs of
+    # the frontier length, and H records whose steps equal the budget.
     path = tmp_path / "edge.ck"
-    path.write_text(f"{CHECKPOINT_MAGIC}\nH 01001 0 10\nP 01010\nFRONTIER 5 10\n")
+    path.write_text(
+        f"{CHECKPOINT_MAGIC}\nH 1 - 0\nH 01000 - 1\nH 01001 0 1\nH 01010 1 1\nFRONTIER 5 1\n"
+    )
     state = load(path)
-    assert state.records == frozenset({HaltRecord("01001", "0", 10)})
-    assert state.pending == frozenset({"01010"})
+    assert state == enumerate_programs(5, 1)
+    assert HaltRecord("01001", "0", 1) in state.records
+
+
+@pytest.mark.parametrize("max_len", range(10))
+def test_load_takes_a_census_and_nothing_one_record_off(tmp_path, max_len):
+    path = tmp_path / "census.ck"
+    for budget in (0, 2, 100):
+        state = enumerate_programs(max_len, budget)
+        save(state, path)
+        assert load(path) == state
+        lines = path.read_text().splitlines()
+        trailer = len(lines) - 1  # the trailer's line number once a line is dropped
+        for i, line in enumerate(lines[1:-1], start=1):
+            kind, program, *rest = line.split(" ")
+            # Flipping the first bit gives a header of no instructions with
+            # bits left over, or "0" for the one-bit program "1".
+            garbled = ("1" if program[0] == "0" else "0") + program[1:]
+            assert naive_reason(garbled) is not None
+            forgeries = {
+                f"line {trailer}: FRONTIER length {max_len} but program {program} is not listed":
+                    lines[:i] + lines[i + 1:],
+                f"line {i + 1}: {garbled} is not a program":
+                    lines[:i] + [" ".join([kind, garbled, *rest])] + lines[i + 1:],
+                f"line {i + 2}: program {program} listed twice": lines[:i + 1] + lines[i:],
+            }
+            for message, forged in forgeries.items():
+                path.write_text("\n".join(forged) + "\n")
+                with pytest.raises(CheckpointError) as caught:
+                    load(path)
+                assert str(caught.value).startswith(message)
 
 
 def test_load_does_not_decode(tmp_path, monkeypatch):

@@ -1,11 +1,8 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from omegalab.enumerator import EnumState, HaltRecord, enumerate_programs
+from omegalab.enumerator import EnumState, enumerate_programs
 from omegalab.omega import (
-    DuplicateProgram,
     KraftResult,
     OmegaBound,
     binary_expansion,
@@ -43,23 +40,6 @@ def test_from_state_equals_the_record_fold():
         subset = rng.sample(records, rng.randrange(len(records) + 1))
         sub = EnumState(10, 100, frozenset(subset), frozenset())
         assert from_state(sub) == naive_bound(sub)
-
-
-def test_from_state_names_smallest_duplicate():
-    records = {
-        HaltRecord("01010", "1", 1),
-        HaltRecord("01010", "0", 1),
-        HaltRecord("01001", "0", 1),
-        HaltRecord("01001", "0", 2),
-        HaltRecord("1", "", 0),
-        # plain lex order would pick this longer one first
-        HaltRecord("0010001000101", "", 3),
-        HaltRecord("0010001000101", "", 4),
-    }
-    state = EnumState(13, 100, frozenset(records), frozenset())
-    with pytest.raises(DuplicateProgram) as err:
-        from_state(state)
-    assert err.value.args == ("01001",)
 
 
 def test_binary_expansion():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from omegalab import theory as theory_module
 from omegalab.theory import (
     CheckResult,
     Proof,
@@ -153,6 +154,20 @@ def test_certification_of_counter_growth_is_still_running():
 def test_certified_theory_rejects_elegant_facts():
     with pytest.raises(UncertifiableFact):
         Theory.certified([Statement("elegant", "1")], budget=100)
+
+
+def test_certification_classifies_each_program_once(monkeypatch):
+    # Every halting program is stated twice, by a halts and an outputs fact.
+    facts = theory_for_programs(shorter_valid_programs(12), budget=100).facts
+    programs = [fact.program for fact in facts]
+    assert len(programs) > len(set(programs))
+    calls = []
+    classify = theory_module.classify
+    monkeypatch.setattr(
+        theory_module, "classify", lambda bits, budget: calls.append(bits) or classify(bits, budget)
+    )
+    assert Theory.certified(facts, budget=100).facts == facts
+    assert sorted(calls) == sorted(set(programs))
 
 
 def test_backdoor_construction_skips_certification():
