@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 domain negatives (NOT FOUND, UNPROVABLE, invalid
 program verdicts), 2 usage/parse/IO errors. All numeric output is exact —
 bit strings and p/q rationals, never floating point — and two invocations
 with equal inputs produce byte-identical reports.
+
+A subcommand loads only the layers it runs: each handler imports its
+modules when it is called, so `run` loads the machine and nothing else.
 """
 
 from __future__ import annotations
@@ -11,12 +14,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from itertools import count, islice
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
-from . import elegant, enumerator, omega, reals, theory, vm
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .theory import Theory
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -59,6 +64,8 @@ def _pos_int(text: str) -> int:
 
 def _parse_ratio(text: str) -> Fraction:
     """'p/q' or a bare integer, exactly; raises ValueError or ZeroDivisionError."""
+    from fractions import Fraction
+
     numer, sep, denom = text.partition("/")
     return Fraction(int(numer), int(denom)) if sep else Fraction(int(numer))
 
@@ -134,6 +141,8 @@ def _emit(lines: list[str]) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import enumerator
+
     workers = _worker_count(args.workers)
     checkpoint = Path(args.checkpoint)
     if args.resume and checkpoint.exists():
@@ -149,7 +158,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     try:
         enumerator.save(state, checkpoint)
     except OSError as exc:
-        raise UsageError(f"cannot write {checkpoint}: {exc}") from exc
+        # strerror alone: the OS message names a temporary file with a random name
+        raise UsageError(f"cannot write {checkpoint}: {exc.strerror or exc}") from exc
     scanned = 2 ** (state.max_len_done + 1) - 2
     valid = len(state.records) + len(state.pending)
     _emit(
@@ -163,6 +173,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
+    from . import enumerator, omega
+
     state = _read(args.checkpoint, enumerator.load, enumerator.CheckpointError)
     bound = omega.from_state(state)
     _emit([omega.format_report(bound, len(state.records), len(state.pending), args.bits)])
@@ -170,6 +182,8 @@ def cmd_omega(args: argparse.Namespace) -> int:
 
 
 def cmd_elegant(args: argparse.Namespace) -> int:
+    from . import elegant
+
     verdict = elegant.find_elegant(args.target, args.max_len, args.budget)
     if verdict is None:
         _emit(["NOT FOUND"])
@@ -186,6 +200,8 @@ def cmd_elegant(args: argparse.Namespace) -> int:
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
+    from . import elegant
+
     report = elegant.compression_report(args.facts, args.max_len, args.budget)
     _emit(
         [
@@ -201,6 +217,8 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import vm
+
     try:
         outcome = vm.run(args.program, args.budget)
     except vm.InvalidProgram as exc:
@@ -214,6 +232,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_diag(args: argparse.Namespace) -> int:
+    from . import reals, vm
+
     programs = _read_programs_file(args.programs)
     streams: list[reals.DigitStream] = []
     for program in programs:
@@ -235,6 +255,8 @@ def cmd_diag(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
+    from . import reals
+
     points = parse_points_file(args.points)
     try:
         report = reals.borel_cover(points, args.epsilon)
@@ -251,6 +273,8 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_borel(args: argparse.Namespace) -> int:
+    from . import reals
+
     strings = islice(reals.borel_strings(), args.prefix)
     # Written in chunks so memory does not grow with --prefix. The first
     # chunk is written even when empty: an empty report is one newline.
@@ -261,7 +285,12 @@ def cmd_borel(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_theory(path: str, budget: int) -> theory.Theory:
+def _load_theory(path: str, budget: int | None) -> Theory:
+    """The certified theory in `path`; budget None is the theory layer's default."""
+    from . import theory
+
+    if budget is None:
+        budget = theory.DEFAULT_CERT_BUDGET
     return _read(
         path,
         lambda p: theory.load_theory(p, budget),
@@ -271,6 +300,8 @@ def _load_theory(path: str, budget: int) -> theory.Theory:
 
 
 def cmd_theory_prove(args: argparse.Namespace) -> int:
+    from . import theory
+
     th = _load_theory(args.theory, args.budget)
     try:
         goal = theory.parse_statement(args.goal)
@@ -289,6 +320,8 @@ def cmd_theory_prove(args: argparse.Namespace) -> int:
 
 
 def cmd_theory_frontier(args: argparse.Namespace) -> int:
+    from . import theory
+
     th = _load_theory(args.theory, args.budget)
     report = theory.elegance_frontier(th)
     lines = [f"N {report.theory_bits} FRONTIER {report.frontier}"]
@@ -362,12 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     tp = tsub.add_parser("prove", help="prove a goal from a theory file")
     tp.add_argument("--theory", required=True)
     tp.add_argument("--goal", required=True)
-    tp.add_argument("--budget", type=_nonneg_int, default=theory.DEFAULT_CERT_BUDGET)
+    tp.add_argument("--budget", type=_nonneg_int, default=None)
     tp.set_defaults(handler=cmd_theory_prove)
 
     tf = tsub.add_parser("frontier", help="largest provably elegant program size")
     tf.add_argument("--theory", required=True)
-    tf.add_argument("--budget", type=_nonneg_int, default=theory.DEFAULT_CERT_BUDGET)
+    tf.add_argument("--budget", type=_nonneg_int, default=None)
     tf.set_defaults(handler=cmd_theory_frontier)
 
     return parser

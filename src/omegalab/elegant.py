@@ -9,13 +9,15 @@ running uncertified is listed and blocks certification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .vm import Halted, Running, classify, literal_program, programs
+from .vm import Halted, Running, _record, classify, literal_program, programs
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
+@_record
 class ElegantVerdict:
     target: str
     witnesses: tuple[str, ...]
@@ -24,7 +26,7 @@ class ElegantVerdict:
     unresolved: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@_record
 class CompressionReport:
     facts: str
     baseline_bits: int
@@ -68,6 +70,8 @@ def compression_report(facts: str, max_len: int, budget: int) -> CompressionRepo
     literal program's length. The literal program is always tried, so
     best_bits <= baseline_bits and the ratio never exceeds one.
     """
+    from fractions import Fraction  # here, so that `elegant` alone does not load it
+
     best_program = literal_program(facts)
     baseline = len(best_program)
     limit = min(max_len, baseline - 1)

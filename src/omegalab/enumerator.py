@@ -20,24 +20,23 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .vm import Halted, InvalidProgram, decode, programs, run
+from .vm import Halted, InvalidProgram, _record, decode, programs, run
 
 CHECKPOINT_MAGIC = "OMEGALAB v1"
 SCAN_CHUNK = 1 << 15  # strings of one length per unit of pool work
 
 
-@dataclass(frozen=True)
+@_record
 class HaltRecord:
     program: str
     output: str
     steps: int
 
 
-@dataclass(frozen=True)
+@_record
 class EnumState:
     max_len_done: int
     budget: int

@@ -9,14 +9,14 @@ flip any binary digit, so reports carry a standing not-settled caveat.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .enumerator import EnumState, _length_lex
+from .vm import _record
 
 
-@dataclass(frozen=True)
+@_record
 class OmegaBound:
     value: Fraction
     source: tuple[int, int]  # (max_len, budget) provenance of the census
@@ -55,7 +55,7 @@ def binary_expansion(bound: OmegaBound, k: int) -> str:
     return "".join(digits)
 
 
-@dataclass(frozen=True)
+@_record
 class KraftResult:
     ok: bool
     mass: Fraction

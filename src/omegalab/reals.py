@@ -14,12 +14,13 @@ classify every string of a tiny question language about programs, with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress, count, product
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .vm import Halted, InvalidProgram, LoopCert, classify, decode, stream_output
+from .vm import Halted, InvalidProgram, LoopCert, _record, classify, decode, stream_output
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 BITS_PER_DIGIT = 4
 
@@ -30,7 +31,7 @@ BOREL_ALPHABET = ("H", "O", "(", ")", ",", ".", "?", "0", "1", "e")
 _QUESTION = re.compile(r"H\((e|[01]+)\)([.?])|O\((e|[01]+),(e|[01]+)\)([.?])")
 
 
-@dataclass(frozen=True)
+@_record
 class DigitStream:
     """A decimal stream: digit n is emitted bits 4n..4n+3, base 2, mod 10."""
 
@@ -51,7 +52,7 @@ def digit_at(stream: DigitStream, n: int, budget: int) -> int | None:
     return int(out[need - BITS_PER_DIGIT : need], 2) % 10
 
 
-@dataclass(frozen=True)
+@_record
 class DiagonalReal:
     digits: tuple[int, ...]
     verified: tuple[bool, ...]
@@ -78,7 +79,7 @@ def diagonal(streams: Sequence[DigitStream], m: int, budget: int) -> DiagonalRea
     return DiagonalReal(tuple(digits), tuple(verified))
 
 
-@dataclass(frozen=True)
+@_record
 class CoverInterval:
     index: int
     center: Fraction
@@ -89,7 +90,7 @@ class CoverInterval:
         return 2 * self.halfwidth
 
 
-@dataclass(frozen=True)
+@_record
 class CoverReport:
     epsilon: Fraction
     intervals: tuple[CoverInterval, ...]
@@ -103,6 +104,8 @@ def borel_cover(points: Sequence[Fraction], epsilon: Fraction) -> CoverReport:
     epsilon(1 - 2^-N), strictly below epsilon however many points are
     listed.
     """
+    from fractions import Fraction  # here, so that digit streams and `borel` do not load it
+
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")

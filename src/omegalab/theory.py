@@ -20,12 +20,11 @@ come from Theory.certified, theory_for_programs, or load_theory.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
-from .vm import Halted, InvalidProgram, LoopCert, classify, programs
+from .vm import Halted, InvalidProgram, LoopCert, _record, classify, programs
 
 KINDS = ("halts", "outputs", "loops", "elegant")
 FACT_KINDS = ("halts", "outputs", "loops")
@@ -46,7 +45,7 @@ class TheoryFileError(ValueError):
     """A theory file line that does not parse; the message names it."""
 
 
-@dataclass(frozen=True)
+@_record
 class Statement:
     kind: str
     program: str
@@ -154,7 +153,7 @@ def _certify_fact(fact: Statement, budget: int, classified: Callable[[str], obje
         )
 
 
-@dataclass(frozen=True)
+@_record
 class Theory:
     facts: tuple[Statement, ...] = ()
 
@@ -184,14 +183,14 @@ def theory_for_programs(programs, budget: int = DEFAULT_CERT_BUDGET) -> Theory:
     return Theory(tuple(facts))
 
 
-@dataclass(frozen=True)
+@_record
 class Proof:
     goal: Statement
     rule: str  # "FACT" or "ELEGANT-INTRO"
     premises: tuple[Statement, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class Unprovable:
     goal: Statement
     missing: tuple[str, ...]  # shorter programs lacking a usable classification
@@ -274,7 +273,7 @@ def prove(theory: Theory, goal: Statement) -> Proof | Unprovable:
     return _derive(_index(theory, (goal.program,) if goal.kind == "elegant" else ()), goal)
 
 
-@dataclass(frozen=True)
+@_record
 class CheckResult:
     ok: bool
     reason: str | None = None
@@ -318,7 +317,7 @@ def check_proof(theory: Theory, proof: Proof) -> CheckResult:
     return CheckResult(True)
 
 
-@dataclass(frozen=True)
+@_record
 class FrontierReport:
     theory_bits: int
     frontier: int

@@ -27,8 +27,8 @@ a few states, whatever the budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator
 
 __all__ = [
@@ -93,7 +93,73 @@ _OPCODE = {
 }
 
 
-@dataclass(frozen=True)
+def _record(cls: type) -> type:
+    """`cls` rebuilt as a frozen record of its annotated fields: the
+    package's stand-in for ``@dataclass(frozen=True)``.
+
+    The fields, in annotation order, become __slots__, and the class gets
+    what a frozen dataclass has: an __init__ taking the fields by position
+    or keyword, with the class-level values as defaults, that calls
+    __post_init__ when the class defines one; equality with an instance of
+    the same class only, never with a tuple; a hash of the fields; a
+    Class(field=value, ...) repr; and AttributeError on any assignment or
+    deletion. Methods and properties are kept. Importing dataclasses loads
+    inspect, and each class it builds costs about a millisecond, which
+    every short CLI call would pay again.
+    """
+    namespace = dict(vars(cls))
+    names = tuple(cls.__annotations__)
+    defaults = {name: namespace.pop(name) for name in names if name in namespace}
+    for name in ("__dict__", "__weakref__"):
+        namespace.pop(name, None)
+    get = attrgetter(*names)
+    fields = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(names, fields(self)))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value=None):  # also __delattr__
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
+
+    def __reduce__(self):
+        return type(self), fields(self)
+
+    namespace.update(
+        __slots__=names,
+        __eq__=__eq__,
+        __hash__=__hash__,
+        __repr__=__repr__,
+        __setattr__=__setattr__,
+        __delattr__=__setattr__,
+        __reduce__=__reduce__,
+    )
+    new = type(cls)(cls.__name__, cls.__bases__, namespace)
+    # __init__ stores each field through its slot, bypassing __setattr__,
+    # with the exact signature; it is compiled because a generic loop over
+    # the fields would slow the records decode and run build by the million.
+    scope = {f"_set_{n}": vars(new)[n].__set__ for n in names}
+    scope.update({f"_default_{n}": value for n, value in defaults.items()})
+    params = ", ".join(f"{n}=_default_{n}" if n in defaults else n for n in names)
+    body = [f"_set_{n}(self, {n})" for n in names]
+    if "__post_init__" in namespace:
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {params}):\n    " + "\n    ".join(body), scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{new.__qualname__}.__init__"
+    new.__init__ = init
+    return new
+
+
+@_record
 class Instruction:
     op: Op
     offset: int | None = None
@@ -103,24 +169,24 @@ class Instruction:
             raise ValueError(f"{self.op.value} takes an offset iff it is a jump")
 
 
-@dataclass(frozen=True)
+@_record
 class Program:
     bits: str
     instructions: tuple[Instruction, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class Halted:
     output: str
     steps: int
 
 
-@dataclass(frozen=True)
+@_record
 class Running:
     budget: int
 
 
-@dataclass(frozen=True)
+@_record
 class LoopCert:
     """A revisited control state: a finite proof the program never halts."""
 

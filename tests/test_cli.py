@@ -1,6 +1,9 @@
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import count, product
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +141,15 @@ def test_omega_missing_checkpoint(tmp_path, capsys):
     code, _, err = invoke(capsys, "omega", "--checkpoint", str(tmp_path / "nope.ck"))
     assert code == 2
     assert "cannot read" in err
+
+
+def test_unwritable_checkpoint_error_is_the_same_every_time(tmp_path, capsys):
+    # The OS error for the temporary file names a random file; the report does not.
+    ck = tmp_path / "missing" / "x.ck"
+    argv = ("enumerate", "--max-len", "3", "--budget", "5", "--checkpoint", str(ck))
+    first, second = invoke(capsys, *argv), invoke(capsys, *argv)
+    assert first == second
+    assert first == (2, "", f"omegalab: error: cannot write {ck}: No such file or directory\n")
 
 
 def test_resume_reproduces_uninterrupted_checkpoint(tmp_path, capsys):
@@ -431,6 +443,14 @@ def test_theory_frontier(tmp_path, capsys):
     ]
 
 
+def test_theory_budget_defaults_to_the_certification_default(tmp_path, capsys):
+    th = tmp_path / "facts.th"
+    th.write_text(THEORY_TEXT)
+    for command in (("frontier",), ("prove", "--goal", "(elegant 01001)")):
+        argv = ("theory", *command, "--theory", str(th))
+        assert invoke(capsys, *argv) == invoke(capsys, *argv, "--budget", "10000")
+
+
 def test_theory_file_parse_error_names_line(tmp_path, capsys):
     th = tmp_path / "facts.th"
     th.write_text("(outputs 1 eps)\n(nonsense)\n")
@@ -550,3 +570,40 @@ def test_rejected_input_file_names_the_file(tmp_path, capsys, command):
     path.write_text(content)
     assert _file_error(capsys, command, path) == f"omegalab: error: {path}: {reason}\n"
     assert path.read_text() == content
+
+
+# --- fresh processes ----------------------------------------------------------------
+
+# Every subcommand at a tiny size. The tests above run where every layer is
+# already imported; a fresh `python -m omegalab` also shows a handler that
+# works only when other code has imported its layer first.
+SMOKE = {
+    "enumerate": ("enumerate", "--max-len", "5", "--budget", "100", "--checkpoint", "{ck}"),
+    "omega": ("omega", "--checkpoint", "{ck}", "--bits", "5"),
+    "elegant": ("elegant", "--target", "0", "--max-len", "5", "--budget", "10"),
+    "compress": ("compress", "--facts", "01", "--max-len", "7", "--budget", "100"),
+    "run": ("run", "--program", "01001", "--budget", "10"),
+    "diag": ("diag", "--programs", "{programs}", "--digits", "2", "--budget", "100"),
+    "cover": ("cover", "--points", "{points}", "--epsilon", "1/3"),
+    "borel": ("borel", "--prefix", "30", "--budget", "20"),
+    "theory-prove": ("theory", "prove", "--theory", "{theory}", "--goal", "(elegant 01001)"),
+    "theory-frontier": ("theory", "frontier", "--theory", "{theory}"),
+}
+
+
+@pytest.mark.parametrize("command", SMOKE)
+def test_each_subcommand_runs_alone_in_a_fresh_process(tmp_path, capsys, command):
+    files = {"ck": tmp_path / "c.ck", "programs": tmp_path / "programs.txt",
+             "points": tmp_path / "points.txt", "theory": tmp_path / "facts.th"}
+    files["programs"].write_text("01001\n1\n")
+    files["points"].write_text("1/2\n1/3\n")
+    files["theory"].write_text(THEORY_TEXT)
+    invoke(capsys, *(arg.format(**files) for arg in SMOKE["enumerate"]))
+    argv = [arg.format(**files) for arg in SMOKE[command]]
+    code, out, err = invoke(capsys, *argv)
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    fresh = subprocess.run([sys.executable, "-m", "omegalab", *argv], env=env,
+                           capture_output=True, text=True)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
+    assert code == 0 and out

@@ -268,16 +268,43 @@ def test_parallel_enumeration_matches_serial():
         assert enumerate_programs(7, 100, workers=workers) == serial
 
 
-def test_importing_the_cli_leaves_the_worker_pool_unloaded():
-    # Only a parallel scan needs the pool, so only it pays for the import.
+def _fresh_imports(*argv):
+    """Run `python -S -X importtime *argv` with the package on the path:
+    (exit code, stdout, {top package: sorted modules it imported}). Without
+    site, only what the command itself imports is listed."""
     path = [str(Path(enumerator.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = (
-        "import omegalab.cli, sys; print(sorted(m for m in sys.modules"
-        " if m.partition('.')[0] in ('concurrent', 'multiprocessing')))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *argv], env=env, capture_output=True, text=True
     )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    imported: dict[str, list[str]] = {}
+    for line in done.stderr.splitlines():
+        if line.startswith("import time:"):
+            name = line.rpartition("|")[2].strip()
+            imported.setdefault(name.partition(".")[0], []).append(name)
+    return done.returncode, done.stdout, {top: sorted(names) for top, names in imported.items()}
+
+
+def test_importing_the_cli_leaves_the_worker_pool_unloaded():
+    # Only a parallel scan needs the pool, so only it pays for the import.
+    code, _, imported = _fresh_imports("-c", "import omegalab.cli")
+    assert code == 0
+    assert "concurrent" not in imported and "multiprocessing" not in imported
+
+
+def test_importing_the_package_loads_no_layer():
+    code, _, imported = _fresh_imports("-c", "import omegalab")
+    assert (code, imported["omegalab"]) == (0, ["omegalab"])
+
+
+def test_the_run_subcommand_loads_the_machine_alone():
+    argv = ("-m", "omegalab", "run", "--program", "01001", "--budget", "10")
+    code, out, imported = _fresh_imports(*argv)
+    assert (code, out) == (0, "HALTED output=0 steps=1\n")
+    assert set(imported["omegalab"]) <= {
+        "omegalab", "omegalab.__main__", "omegalab.cli", "omegalab.vm"
+    }
+    assert not imported.keys() & {"dataclasses", "fractions", "concurrent"}
 
 
 def test_small_chunks_match_serial(monkeypatch):
