@@ -38,9 +38,11 @@ class UsageError(Exception):
 
 
 def _bits_value(text: str) -> str:
+    from .vm import _is_bits
+
     if text in ("", "-"):
         return ""
-    if any(c not in "01" for c in text):
+    if not _is_bits(text):
         raise argparse.ArgumentTypeError("expected a bit string of 0/1 (or '-' for empty)")
     return text
 
@@ -119,9 +121,11 @@ def parse_points_file(path: str | Path) -> list[Fraction]:
 
 
 def _read_programs_file(path: str | Path) -> list[str]:
+    from .vm import _is_bits
+
     programs: list[str] = []
     for num, text in _data_lines(path):
-        if any(c not in "01" for c in text):
+        if not _is_bits(text):
             raise UsageError(f"{path}: line {num}: expected a bit string, got {text!r}")
         programs.append(text)
     return programs

@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 from typing import Iterable
 
-from .vm import Halted, InvalidProgram, _record, decode, programs, run
+from .vm import Halted, InvalidProgram, _is_bits, _length_lex, _record, decode, programs, run
 
 CHECKPOINT_MAGIC = "OMEGALAB v1"
 SCAN_CHUNK = 1 << 15  # strings of one length per unit of pool work
@@ -147,10 +147,6 @@ def extend(state: EnumState, max_len: int, budget: int, workers: int = 1) -> Enu
     )
 
 
-def _length_lex(s: str) -> tuple[int, str]:
-    return len(s), s
-
-
 def _canonical_lines(state: EnumState) -> list[str]:
     lines = [CHECKPOINT_MAGIC]
     for rec in sorted(state.records, key=lambda r: _length_lex(r.program)):
@@ -180,10 +176,6 @@ def save(state: EnumState, destination: str | Path) -> None:
         raise
 
 
-def _is_bits(s: str) -> bool:
-    return bool(s) and all(c in "01" for c in s)
-
-
 def load(source: str | Path) -> EnumState:
     """Read a checkpoint back, trusted only as a complete census; load(save(s)) == s.
 
@@ -207,15 +199,15 @@ def load(source: str | Path) -> EnumState:
         fields = line.split(" ")
         kind = fields[0]
         if kind == "H":
-            if len(fields) != 4 or not _is_bits(fields[1]):
+            if len(fields) != 4 or not fields[1] or not _is_bits(fields[1]):
                 raise CheckpointError(f"line {num}: malformed H record")
             output = fields[2]
-            if output != "-" and not _is_bits(output):
+            if not output or (output != "-" and not _is_bits(output)):
                 raise CheckpointError(f"line {num}: malformed output field")
             if not fields[3].isdigit():
                 raise CheckpointError(f"line {num}: malformed step count")
         elif kind == "P":
-            if len(fields) != 2 or not _is_bits(fields[1]):
+            if len(fields) != 2 or not fields[1] or not _is_bits(fields[1]):
                 raise CheckpointError(f"line {num}: malformed P record")
         elif kind == "FRONTIER":
             if len(fields) != 3 or not fields[1].isdigit() or not fields[2].isdigit():

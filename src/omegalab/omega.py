@@ -12,8 +12,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
-from .enumerator import EnumState, _length_lex
-from .vm import _record
+from .enumerator import EnumState
+from .vm import _length_lex, _record
 
 
 @_record

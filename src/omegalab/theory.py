@@ -24,7 +24,16 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
-from .vm import Halted, InvalidProgram, LoopCert, _record, classify, programs
+from .vm import (
+    Halted,
+    InvalidProgram,
+    LoopCert,
+    _is_bits,
+    _length_lex,
+    _record,
+    classify,
+    programs,
+)
 
 KINDS = ("halts", "outputs", "loops", "elegant")
 FACT_KINDS = ("halts", "outputs", "loops")
@@ -54,11 +63,11 @@ class Statement:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown statement kind {self.kind!r}")
-        if not self.program or any(c not in "01" for c in self.program):
+        if not self.program or not _is_bits(self.program):
             raise ValueError("program must be a nonempty bit string")
         if (self.output is not None) != (self.kind == "outputs"):
             raise ValueError("only outputs statements carry an output")
-        if self.output and any(c not in "01" for c in self.output):
+        if self.output and not _is_bits(self.output):
             raise ValueError("output must be a bit string")
 
     def canonical(self) -> str:
@@ -99,14 +108,14 @@ def parse_statement(text: str) -> Statement:
     if pos + 1 != len(text):
         raise StatementParseError("trailing characters", pos + 1)
     program, program_at = args[0]
-    if any(c not in "01" for c in program):
+    if not _is_bits(program):
         raise StatementParseError("program must be a bit string", program_at)
     output = None
     if kind == "outputs":
         token, token_at = args[1]
         if token == "eps":
             output = ""
-        elif all(c in "01" for c in token):
+        elif _is_bits(token):
             output = token
         else:
             raise StatementParseError("output must be a bit string or 'eps'", token_at)
@@ -333,10 +342,7 @@ def elegance_frontier(theory: Theory) -> FrontierReport:
     index of the theory and one grammar walk up to the longest goal.
     Adding facts never shrinks the frontier.
     """
-    candidates = sorted(
-        {f.program for f in theory.facts if f.kind == "outputs"},
-        key=lambda p: (len(p), p),
-    )
+    candidates = sorted({f.program for f in theory.facts if f.kind == "outputs"}, key=_length_lex)
     index = _index(theory, candidates)
     proven = tuple(
         p for p in candidates if isinstance(_derive(index, Statement("elegant", p)), Proof)

@@ -31,27 +31,6 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterator
 
-__all__ = [
-    "InvalidProgram",
-    "InvalidReason",
-    "Op",
-    "Instruction",
-    "Program",
-    "Halted",
-    "Running",
-    "LoopCert",
-    "gamma_encode",
-    "decode",
-    "encode_instructions",
-    "assemble",
-    "run",
-    "execute",
-    "stream_output",
-    "classify",
-    "programs",
-    "literal_program",
-]
-
 
 class InvalidReason(Enum):
     TRUNCATED = "Truncated"
@@ -210,6 +189,11 @@ def _unzigzag(z: int) -> int:
     return z // 2 if z % 2 == 0 else -(z // 2) - 1
 
 
+def _is_bits(s: str) -> bool:
+    """Whether `s` is a bit string; the empty string is one."""
+    return not s.strip("01")
+
+
 # The instructions without an operand, keyed by their opcode. Instructions
 # are frozen, so every decoded program can share these.
 _PLAIN = {code: Instruction(op) for op, code in _OPCODE.items() if op not in _JUMPS}
@@ -231,7 +215,7 @@ def decode(bits: str) -> Program:
     k + (k - start) + 1.
     """
     n = len(bits)
-    if bits.count("0") + bits.count("1") != n:
+    if bits.strip("01"):  # _is_bits, inline: a census decodes every string it scans
         raise ValueError("program bits must be '0'/'1' characters")
     k = bits.find("1")
     body = 2 * k + 1
@@ -469,6 +453,11 @@ def classify(bits: str, budget: int) -> Halted | LoopCert | Running:
     return Running(budget)
 
 
+def _length_lex(s: str) -> tuple[int, str]:
+    """The sort key of length-lexicographic order: shorter first, then by bits."""
+    return len(s), s
+
+
 def programs(length: int) -> Iterator[str]:
     """Every valid program of exactly `length` bits, in lexicographic order.
 
@@ -504,7 +493,7 @@ def literal_program(s: str) -> str:
     two bits per output bit plus the logarithmic header: the baseline any
     genuine compression has to beat.
     """
-    if any(c not in "01" for c in s):
+    if not _is_bits(s):
         raise ValueError("facts must be '0'/'1' characters")
     body = "".join("01" if c == "0" else "10" for c in s)
     return gamma_encode(len(s) + 1) + body

@@ -152,6 +152,20 @@ def test_unwritable_checkpoint_error_is_the_same_every_time(tmp_path, capsys):
     assert first == (2, "", f"omegalab: error: cannot write {ck}: No such file or directory\n")
 
 
+def test_checkpoint_onto_a_directory_leaves_no_temporary_file(tmp_path, capsys):
+    # The temporary file is written, the rename fails, and save removes it.
+    ck = tmp_path / "ck"
+    ck.mkdir()
+    (ck / "keep").write_text("kept\n")
+    code, out, err = invoke(
+        capsys, "enumerate", "--max-len", "3", "--budget", "5", "--checkpoint", str(ck)
+    )
+    assert (code, out, err) == (2, "", f"omegalab: error: cannot write {ck}: Is a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    assert [p.name for p in ck.iterdir()] == ["keep"]
+    assert (ck / "keep").read_text() == "kept\n"
+
+
 def test_resume_reproduces_uninterrupted_checkpoint(tmp_path, capsys):
     straight = tmp_path / "full.ck"
     staged = tmp_path / "staged.ck"
@@ -246,6 +260,22 @@ def test_elegant_empty_target(capsys):
     assert out == "TARGET -\nMINIMAL 1\nWITNESS 1\nCERTIFIED\n"
 
 
+def test_elegant_uncertified_report(capsys):
+    # Both shorter programs grow a counter: they neither halt nor revisit a state.
+    code, out, _ = invoke(
+        capsys, "elegant", "--target", "010011", "--max-len", "17", "--budget", "100"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "TARGET 010011",
+        "MINIMAL 17",
+        "WITNESS 00111011001011010",
+        "UNCERTIFIED",
+        "UNRESOLVED 0111100111100100",
+        "UNRESOLVED 0111101111000100",
+    ]
+
+
 def test_compress_report(capsys):
     code, out, _ = invoke(capsys, "compress", "--facts", "0101", "--max-len", "4", "--budget", "100")
     assert code == 0
@@ -287,6 +317,16 @@ def test_diag_rejects_invalid_program_lines(tmp_path, capsys):
     )
     assert code == 2
     assert "invalid program" in err
+
+
+def test_diag_rejects_non_bit_lines(tmp_path, capsys):
+    listing = tmp_path / "programs.txt"
+    listing.write_text("1x\n")
+    code, out, err = invoke(
+        capsys, "diag", "--programs", str(listing), "--digits", "1", "--budget", "10"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"omegalab: error: {listing}: line 1: expected a bit string, got '1x'\n"
 
 
 def test_diag_needs_enough_programs(tmp_path, capsys):
@@ -476,6 +516,24 @@ def test_missing_required_flag_exits_2(capsys):
 
 def test_negative_budget_exits_2(capsys):
     assert invoke(capsys, "run", "--program", "1", "--budget", "-3")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "run --program 1 --budget x",
+            "omegalab run: error: argument --budget: expected an integer, got 'x'",
+        ),
+        (
+            "enumerate --max-len 1 --budget 1 --checkpoint c.ck --workers 0",
+            "omegalab enumerate: error: argument --workers: expected a positive integer",
+        ),
+    ],
+)
+def test_bad_integer_flags_name_the_flag(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv.split())
+    assert (code, out, err.splitlines()[-1]) == (2, "", message)
 
 
 def test_help_exits_0(capsys):

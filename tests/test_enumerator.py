@@ -152,11 +152,28 @@ def test_load_rejects_wrong_magic(tmp_path):
         load(path)
 
 
+# (record line, the exact message load gives for it). A program field
+# must be a nonempty bit string, and an output field one too or '-'.
+MALFORMED_FIELDS = [
+    ("H zz - 1", "malformed H record"),
+    ("H 1x - 0", "malformed H record"),
+    ("H  - 0", "malformed H record"),
+    ("H 1 2 0", "malformed output field"),
+    ("H 1  0", "malformed output field"),
+    ("H 1 - x", "malformed step count"),
+    ("P 1 1", "malformed P record"),
+    ("P ", "malformed P record"),
+    ("FRONTIER 1", "malformed FRONTIER trailer"),
+]
+
+
 def test_load_names_offending_line(tmp_path):
     path = tmp_path / "bad.ck"
-    path.write_text(f"{CHECKPOINT_MAGIC}\nH 1 - 0\nH zz - 1\nFRONTIER 5 100\n")
-    with pytest.raises(CheckpointError, match="line 3"):
-        load(path)
+    for record, message in MALFORMED_FIELDS:
+        path.write_text(f"{CHECKPOINT_MAGIC}\nH 1 - 0\n{record}\nFRONTIER 5 100\n")
+        with pytest.raises(CheckpointError) as caught:
+            load(path)
+        assert (record, str(caught.value)) == (record, f"line 3: {message}")
 
 
 def test_load_rejects_missing_trailer(tmp_path):
@@ -290,6 +307,8 @@ def test_importing_the_cli_leaves_the_worker_pool_unloaded():
     code, _, imported = _fresh_imports("-c", "import omegalab.cli")
     assert code == 0
     assert "concurrent" not in imported and "multiprocessing" not in imported
+    # Nor any layer: each handler imports the ones it runs.
+    assert imported["omegalab"] == ["omegalab", "omegalab.cli"]
 
 
 def test_importing_the_package_loads_no_layer():

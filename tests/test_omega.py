@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from omegalab.enumerator import EnumState, enumerate_programs
 from omegalab.omega import (
     KraftResult,
@@ -47,6 +49,8 @@ def test_binary_expansion():
     assert binary_expansion(bound, 5) == "10011"
     assert binary_expansion(from_state(enumerate_programs(1, 100)), 5) == "10000"
     assert binary_expansion(OmegaBound(Fraction(0), (0, 0)), 3) == "000"
+    with pytest.raises(ValueError, match="digit count must be >= 0"):
+        binary_expansion(bound, -1)
 
 
 def test_binary_expansion_reconstructs_value():

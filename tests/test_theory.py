@@ -325,6 +325,24 @@ def test_checker_rejects_fact_proof_of_non_fact():
     assert not check_proof(theory, Proof(Statement("loops", "1"), "FACT", ())).ok
 
 
+@pytest.mark.parametrize(
+    "proof, reason",
+    [
+        (
+            Proof(Statement("halts", "1"), "FACT", (Statement("outputs", "1", ""),)),
+            "FACT proofs take no premises",
+        ),
+        (
+            Proof(Statement("halts", "1"), "ELEGANT-INTRO", (Statement("outputs", "1", ""),)),
+            "ELEGANT-INTRO only derives elegance statements",
+        ),
+        (Proof(Statement("elegant", "1"), "ELEGANT-INTRO", ()), "missing the outputs premise"),
+    ],
+)
+def test_checker_rejects_misapplied_rules(proof, reason):
+    assert check_proof(full_theory(), proof) == CheckResult(False, reason)
+
+
 def test_checker_rejects_wrong_base_premise():
     theory = full_theory()
     proof = Proof(Statement("elegant", "01001"), "ELEGANT-INTRO", (Statement("outputs", "1", ""),))
@@ -483,6 +501,14 @@ def test_parse_theory_text_with_comments():
 def test_parse_theory_text_names_bad_line():
     with pytest.raises(TheoryFileError, match="line 2"):
         parse_theory_text("(outputs 1 eps)\n(outputs 1)\n")
+
+
+def test_load_theory_rejects_a_fact_about_a_non_program(tmp_path):
+    path = tmp_path / "facts.th"
+    path.write_text("(halts 0)\n")
+    with pytest.raises(UncertifiableFact) as caught:
+        load_theory(path, budget=100)
+    assert str(caught.value) == "(halts 0): invalid program (MalformedGamma)"
 
 
 def test_load_theory_certifies(tmp_path):
