@@ -99,8 +99,8 @@ def enumerate_programs(max_len: int, budget: int, workers: int = 1) -> EnumState
     is a pure function of (max_len, budget): the same state comes back
     whatever the worker count or execution order.
     """
-    if max_len < 0 or budget < 0 or workers < 1:
-        raise ValueError("max_len, budget must be >= 0 and workers >= 1")
+    if max_len < 0 or budget < 0:
+        raise ValueError("max_len, budget must be >= 0")
     return extend(EnumState(0, budget, frozenset(), frozenset()), max_len, budget, workers)
 
 
@@ -130,6 +130,8 @@ def refine(state: EnumState, new_budget: int) -> EnumState:
 
 def extend(state: EnumState, max_len: int, budget: int, workers: int = 1) -> EnumState:
     """Grow a state to (max_len, budget); equals a fresh enumeration there."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if max_len < state.max_len_done:
         raise ValueError(f"cannot shrink max_len below {state.max_len_done}")
     if budget < state.budget:

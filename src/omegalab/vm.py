@@ -49,27 +49,17 @@ class InvalidProgram(ValueError):
         self.reason = reason
 
 
-class Op(Enum):
-    HALT = "HALT"
-    EMIT0 = "EMIT0"
-    EMIT1 = "EMIT1"
-    INCA = "INCA"
-    INCB = "INCB"
-    DJZA = "DJZA"
-    DJZB = "DJZB"
+class Op(Enum):  # the instruction set: each value is its opcode bits
+    HALT = "00"
+    EMIT0 = "01"
+    EMIT1 = "10"
+    INCA = "1100"
+    INCB = "1101"
+    DJZA = "1110"  # a jump's opcode is followed by its gamma-coded offset
+    DJZB = "1111"
 
 
 _JUMPS = (Op.DJZA, Op.DJZB)
-
-_OPCODE = {
-    Op.HALT: "00",
-    Op.EMIT0: "01",
-    Op.EMIT1: "10",
-    Op.INCA: "1100",
-    Op.INCB: "1101",
-    Op.DJZA: "1110",
-    Op.DJZB: "1111",
-}
 
 
 def _record(cls: type) -> type:
@@ -145,7 +135,7 @@ class Instruction:
 
     def __post_init__(self) -> None:
         if (self.offset is not None) != (self.op in _JUMPS):
-            raise ValueError(f"{self.op.value} takes an offset iff it is a jump")
+            raise ValueError(f"{self.op.name} takes an offset iff it is a jump")
 
 
 @_record
@@ -194,10 +184,9 @@ def _is_bits(s: str) -> bool:
     return not s.strip("01")
 
 
-# The instructions without an operand, keyed by their opcode. Instructions
-# are frozen, so every decoded program can share these.
-_PLAIN = {code: Instruction(op) for op, code in _OPCODE.items() if op not in _JUMPS}
-_JUMP_OP = {"0": Op.DJZA, "1": Op.DJZB}  # the last bit of opcodes 1110 / 1111
+# The operand-free instructions by opcode; frozen, so all programs share them.
+_PLAIN = {op.value: Instruction(op) for op in Op if op not in _JUMPS}
+_JUMP_OP = {op.value[-1]: op for op in _JUMPS}  # keyed by the last opcode bit
 
 
 def decode(bits: str) -> Program:
@@ -263,7 +252,7 @@ def decode(bits: str) -> Program:
 def encode_instructions(instructions: tuple[Instruction, ...]) -> str:
     parts = [gamma_encode(len(instructions) + 1)]
     for ins in instructions:
-        parts.append(_OPCODE[ins.op])
+        parts.append(ins.op.value)
         if ins.op in _JUMPS:
             parts.append(gamma_encode(_zigzag(ins.offset) + 1))
     return "".join(parts)
@@ -465,10 +454,10 @@ def programs(length: int) -> Iterator[str]:
     and codewords are each prefix-free codes, so trying the choices at each
     position in lexicographic order yields the programs in that order.
     """
-    words = [code for op, code in _OPCODE.items() if op not in _JUMPS]
+    words = [op.value for op in Op if op not in _JUMPS]
     z = 1
-    while len(_OPCODE[Op.DJZA] + gamma_encode(z)) <= length:
-        words.extend(_OPCODE[op] + gamma_encode(z) for op in _JUMPS)
+    while len(Op.DJZA.value + gamma_encode(z)) <= length:
+        words.extend(op.value + gamma_encode(z) for op in _JUMPS)
         z += 1
     words.sort()
     fits = [[w for w in words if len(w) <= room] for room in range(length + 1)]
@@ -495,5 +484,5 @@ def literal_program(s: str) -> str:
     """
     if not _is_bits(s):
         raise ValueError("facts must be '0'/'1' characters")
-    body = "".join("01" if c == "0" else "10" for c in s)
+    body = s.translate({ord("0"): Op.EMIT0.value, ord("1"): Op.EMIT1.value})
     return gamma_encode(len(s) + 1) + body

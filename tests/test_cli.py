@@ -203,14 +203,19 @@ def test_resume_without_checkpoint_starts_fresh(tmp_path, capsys):
 
 def test_resume_below_saved_frontier_is_refused(tmp_path, capsys):
     ck = tmp_path / "c.ck"
-    invoke(capsys, "enumerate", "--max-len", "5", "--budget", "100", "--checkpoint", str(ck))
-    code, _, err = invoke(
-        capsys,
-        "enumerate", "--max-len", "4", "--budget", "100",
-        "--checkpoint", str(ck), "--resume",
-    )
-    assert code == 2
-    assert "frontier" in err
+    invoke(capsys, "enumerate", "--max-len", "5", "--budget", "10", "--checkpoint", str(ck))
+    saved = ck.read_bytes()
+    for max_len, budget in (("4", "10"), ("5", "9")):  # a shorter length, a smaller budget
+        code, out, err = invoke(
+            capsys,
+            "enumerate", "--max-len", max_len, "--budget", budget,
+            "--checkpoint", str(ck), "--resume",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "omegalab: error: cannot resume below the saved frontier (len<=5, budget 10)\n"
+        )
+        assert ck.read_bytes() == saved
 
 
 def test_resume_over_an_invalid_pending_record_is_refused(tmp_path, capsys):
@@ -225,6 +230,14 @@ def test_resume_over_an_invalid_pending_record_is_refused(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == f"omegalab: error: {ck}: line 2: 0 is not a program (MalformedGamma)\n"
     assert ck.read_text() == forged
+
+
+def test_worker_count_without_affinity_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._worker_count(None) == os.cpu_count()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count(None) == 1
+    assert cli._worker_count(3) == 3
 
 
 def test_enumerate_defaults_to_the_available_cpus(tmp_path, capsys):
@@ -331,11 +344,12 @@ def test_diag_rejects_non_bit_lines(tmp_path, capsys):
 
 def test_diag_needs_enough_programs(tmp_path, capsys):
     listing = tmp_path / "programs.txt"
-    listing.write_text("1\n")
-    code, _, err = invoke(
-        capsys, "diag", "--programs", str(listing), "--digits", "5", "--budget", "10"
+    listing.write_text("01001\n1\n")
+    code, out, err = invoke(
+        capsys, "diag", "--programs", str(listing), "--digits", "3", "--budget", "10"
     )
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert err == "omegalab: error: need 3 programs, file lists 2\n"
 
 
 def test_cover_report(tmp_path, capsys):

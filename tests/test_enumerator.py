@@ -103,6 +103,14 @@ def test_extend_matches_fresh_run():
     assert extend(partial, 4, 100) == partial
 
 
+def test_extend_rejects_fewer_than_one_worker():
+    # enumerate_programs is extend from the empty census: one check serves both
+    with pytest.raises(ValueError, match="^workers must be >= 1$"):
+        enumerate_programs(3, 10, workers=0)
+    with pytest.raises(ValueError, match="^workers must be >= 1$"):
+        extend(enumerate_programs(3, 10), 4, 10, workers=0)
+
+
 def test_extend_rejects_shrinking():
     state = enumerate_programs(5, 100)
     with pytest.raises(ValueError):

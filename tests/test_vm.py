@@ -219,10 +219,20 @@ def test_assemble_round_trip():
 
 
 def test_instruction_offset_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^HALT takes an offset iff it is a jump$"):
         Instruction(Op.HALT, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^DJZA takes an offset iff it is a jump$"):
         Instruction(Op.DJZA)
+
+
+@pytest.mark.parametrize("op", list(Op), ids=lambda op: op.name)
+def test_each_op_value_is_its_opcode(op):
+    if op in (Op.DJZA, Op.DJZB):  # offset 0 is gamma_encode(zigzag(0) + 1)
+        assert decode(gamma_encode(2) + op.value + gamma_encode(1)).instructions == (
+            Instruction(op, 0),
+        )
+    else:
+        assert decode(gamma_encode(2) + op.value).instructions == (Instruction(op),)
 
 
 def test_prefix_freeness_small():
