@@ -11,15 +11,19 @@ SCAN_CHUNK strings, handed to the pool in length order, so a costly
 stretch of one length is shared among the workers instead of falling to
 one of them.
 
-The scan still decodes every bit string instead of walking `vm.programs`:
-the benchmark's traced census (`check_trace` in perfbench/run.py) requires
-`vm.decode` calls = strings scanned = 2^(L+1) - 2.
+The scan still calls `run` once on every bit string, and `run` raises
+InvalidProgram for each one that is not a program; it does not walk
+`vm.programs`. The benchmark's traced census (`check_trace` in
+perfbench/run.py) pins that per-string contract: `vm.decode` calls =
+strings scanned = 2^(L+1) - 2 = invalid + halting + pending, where invalid
+counts the raising calls of `run` as this module binds it.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -54,8 +58,7 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[list[tuple[str, str, i
     spec = f"0{length}b"
     records: list[tuple[str, str, int]] = []
     pending: list[str] = []
-    for i in range(lo, hi):
-        bits = format(i, spec)
+    for bits in map(format, range(lo, hi), repeat(spec)):
         try:
             outcome = run(bits, budget)
         except InvalidProgram:

@@ -39,14 +39,19 @@ class InvalidReason(Enum):
 
 
 class InvalidProgram(ValueError):
-    """Raised when a bit string is not a valid program."""
+    """Raised as InvalidProgram(reason) when a bit string is not a valid program."""
 
-    def __init__(self, reason: InvalidReason):
-        # A census raises this for ~99% of its strings. `_value_` is the
-        # member's plain attribute: `.value` goes through a descriptor, and a
-        # dict keyed by the member pays for Enum.__hash__ in Python.
-        super().__init__(reason._value_)
-        self.reason = reason
+    # No __init__: a census raises this for ~99% of its strings, and without
+    # one the exception is built in C, with no Python frame. The member stays
+    # in args[0], so pickle and copy, which rebuild an exception from its
+    # args, give back the same member (a pool worker's exception is pickled).
+
+    @property
+    def reason(self) -> InvalidReason:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return self.args[0]._value_
 
 
 class Op(Enum):  # the instruction set: each value is its opcode bits
@@ -198,25 +203,30 @@ def decode(bits: str) -> Program:
 
     Two passes. The first only moves a position through the string and
     raises at the first point where decoding fails, so the ~99% of strings
-    a census scan meets that are not programs build no objects. Only a
-    string that passes is walked again to build its instructions. A gamma
-    code starting at `start` whose first 1 is at `k` ends at
-    k + (k - start) + 1.
+    a census scan meets that are not programs build no objects. Half of
+    all strings start with the header 1, zero instructions: only "1"
+    itself is a program, and the rest are Leftover at once. Only a string
+    that passes is walked again to build its instructions. A gamma code
+    starting at `start` whose first 1 is at `k` ends at k + (k - start) + 1.
     """
     n = len(bits)
     if bits.strip("01"):  # _is_bits, inline: a census decodes every string it scans
         raise ValueError("program bits must be '0'/'1' characters")
     k = bits.find("1")
+    if not k:  # header 1: zero instructions
+        if n > 1:
+            raise InvalidProgram(InvalidReason.LEFTOVER)
+        return Program(bits, ())
     body = 2 * k + 1
     if k < 0 or body > n:
         raise InvalidProgram(InvalidReason.MALFORMED_GAMMA)
     count = int(bits[k:body], 2) - 1
     pos = body
     for _ in range(count):
-        if pos + 2 > n:
-            raise InvalidProgram(InvalidReason.TRUNCATED)
-        if bits[pos] == "0" or bits[pos + 1] == "0":  # 00 / 01 / 10
+        if bits[pos : pos + 2] != "11":  # 00 / 01 / 10, or fewer than two bits left
             pos += 2
+            if pos > n:
+                raise InvalidProgram(InvalidReason.TRUNCATED)
         elif pos + 4 > n:
             raise InvalidProgram(InvalidReason.TRUNCATED)
         elif bits[pos + 2] == "0":  # 1100 / 1101

@@ -45,6 +45,13 @@ def test_run_invalid_program_is_a_domain_verdict(capsys):
     assert out == "INVALID reason=Leftover\n"
 
 
+@pytest.mark.parametrize("program, reason", [("011", "Truncated"), ("0", "MalformedGamma")])
+def test_run_reports_the_other_invalid_reasons(capsys, program, reason):
+    code, out, _ = invoke(capsys, "run", "--program", program, "--budget", "5")
+    assert code == 1
+    assert out == f"INVALID reason={reason}\n"
+
+
 def test_run_rejects_non_bit_program(capsys):
     code, _, err = invoke(capsys, "run", "--program", "10a", "--budget", "5")
     assert code == 2

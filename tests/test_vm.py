@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 
@@ -141,6 +143,16 @@ def test_invalid_program_message_is_the_reason_text():
         assert str(InvalidProgram(reason)) == reason.value
 
 
+def test_invalid_program_survives_pickle_and_copy():
+    # A census worker's exception reaches the pool's parent pickled.
+    for reason in InvalidReason:
+        error = InvalidProgram(reason)
+        for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+            assert clone.reason is reason
+            assert str(clone) == reason.value
+            assert isinstance(clone, ValueError)
+
+
 def as_naive(ins):
     """An Instruction in naive_decode's tuple form."""
     if ins.op is Op.HALT:
@@ -191,6 +203,42 @@ def test_decode_matches_naive_oracle_on_mutated_long_programs():
         except InvalidProgram as err:
             assert err.reason.value == naive_reason(bits), bits
             continue
+        assert ours == naive_decode(bits), bits
+
+
+def test_decode_matches_naive_oracle_at_census_lengths():
+    # Random 15- to 24-bit strings, past the exhaustive sweep. A quarter
+    # start with the header 1 and a quarter end one bit into a codeword, so
+    # both of decode's early exits are met at the lengths a census scans.
+    rng = random.Random(19)
+
+    def codeword():  # one instruction's bits, cut loose from the header "010"
+        op = rng.choice(list(Op))
+        offset = rng.randrange(-9, 10) if op in (Op.DJZA, Op.DJZB) else None
+        return encode_instructions((Instruction(op, offset),))[3:]
+
+    for i in range(20000):
+        length = rng.randrange(15, 25)
+        if i % 4 == 0:
+            bits = "1" + format(rng.getrandbits(length - 1), f"0{length - 1}b")
+        elif i % 4 == 1:
+            bits = ""
+            while len(bits) < 15:
+                bits = gamma_encode(length + 1)  # counts more codewords than can follow
+                word = codeword()
+                while len(bits) + len(word) < length:
+                    bits += word
+                    word = codeword()
+                bits += word[0]
+        else:
+            bits = format(rng.getrandbits(length), f"0{length}b")
+        try:
+            ours = [as_naive(ins) for ins in decode(bits).instructions]
+        except InvalidProgram as err:
+            assert err.reason.value == naive_reason(bits), bits
+            assert i % 4 != 1 or err.reason is InvalidReason.TRUNCATED, bits
+            continue
+        assert i % 4 > 1, bits
         assert ours == naive_decode(bits), bits
 
 
