@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_pos_int,
         default=None,
-        help="scan in this many processes (default: the CPUs this process may run on)",
+        help="scan in up to this many processes, never more than the chunks "
+        "(default: the CPUs this process may run on)",
     )
     p.set_defaults(handler=cmd_enumerate)
 

@@ -5,11 +5,11 @@ order, skips the syntactically invalid ones, and splits the valid programs
 into a halting census and a pending set. Pending programs are kept so a
 later, larger budget only re-runs them (refine) instead of re-scanning the
 whole tree. States checkpoint to a line-oriented ASCII file with atomic
-writes, and scanning may be spread over worker processes without changing
-the result: each length is cut into contiguous chunks of at most
-SCAN_CHUNK strings, handed to the pool in length order, so a costly
-stretch of one length is shared among the workers instead of falling to
-one of them.
+writes, and scanning may be spread over up to `workers` processes, never
+more than the chunks, without changing the result: each length is cut
+into contiguous chunks of at most SCAN_CHUNK strings, handed to the pool
+in length order, so a costly stretch of one length is shared among the
+workers instead of falling to one of them.
 
 The scan still calls `run` once on every bit string, and `run` raises
 InvalidProgram for each one that is not a program; it does not walk
@@ -78,7 +78,8 @@ def _scan_lengths(
         for length in lengths
         for lo in range(0, 1 << length, SCAN_CHUNK)
     ]
-    if workers > 1 and len(chunks) > 1:
+    workers = min(workers, len(chunks))  # a pool forks all its workers at once
+    if workers > 1:
         # Imported here: every other command would pay for loading
         # multiprocessing without ever starting a pool.
         from concurrent.futures import ProcessPoolExecutor

@@ -20,9 +20,8 @@ come from Theory.certified, theory_for_programs, or load_theory.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable
 
 from .vm import (
     Halted,
@@ -122,13 +121,13 @@ def parse_statement(text: str) -> Statement:
     return Statement(kind, program, output)
 
 
-def certify_run_axioms(program: str, budget: int) -> list[Statement]:
-    """Execution-grounded axioms for one program.
+def _run_facts(program: str, outcome: object) -> list[Statement]:
+    """The facts one `classify` outcome certifies about `program`.
 
-    Halting within the budget yields its halts and outputs facts; a loop
-    certificate yields its loops fact; otherwise nothing can be asserted.
+    Halting yields its halts and outputs facts; a loop certificate yields
+    its loops fact; otherwise nothing can be asserted. This one rule both
+    writes theories (certify_run_axioms) and accepts them (Theory.certified).
     """
-    outcome = classify(program, budget)
     if isinstance(outcome, Halted):
         return [Statement("halts", program), Statement("outputs", program, outcome.output)]
     if isinstance(outcome, LoopCert):
@@ -136,30 +135,23 @@ def certify_run_axioms(program: str, budget: int) -> list[Statement]:
     return []
 
 
-def _certify_fact(fact: Statement, budget: int, classified: Callable[[str], object]) -> None:
+def certify_run_axioms(program: str, budget: int) -> list[Statement]:
+    """Execution-grounded axioms for one program, run for at most `budget` steps."""
+    return _run_facts(program, classify(program, budget))
+
+
+def _refusal(fact: Statement, outcome: object, budget: int) -> str:
+    """Why `outcome` does not certify `fact`: it explains, never decides."""
     if fact.kind not in FACT_KINDS:
-        raise UncertifiableFact(f"{fact.canonical()}: facts are limited to halts/outputs/loops")
-    try:
-        outcome = classified(fact.program)
-    except InvalidProgram as exc:
-        raise UncertifiableFact(f"{fact.canonical()}: invalid program ({exc})") from exc
+        return f"{fact.canonical()}: facts are limited to halts/outputs/loops"
     if fact.kind == "loops":
-        if not isinstance(outcome, LoopCert):
-            raise UncertifiableFact(
-                f"{fact.canonical()}: no loop certificate within {budget} steps"
-            )
-        return
+        return f"{fact.canonical()}: no loop certificate within {budget} steps"
     if isinstance(outcome, LoopCert):
-        raise UncertifiableFact(
-            f"{fact.canonical()}: never halts"
-            f" (control state revisited at step {outcome.revisit_step})"
-        )
-    if not isinstance(outcome, Halted):
-        raise UncertifiableFact(f"{fact.canonical()}: still running after {budget} steps")
-    if fact.kind == "outputs" and outcome.output != fact.output:
-        raise UncertifiableFact(
-            f"{fact.canonical()}: actual output is {outcome.output or 'eps'}"
-        )
+        step = outcome.revisit_step
+        return f"{fact.canonical()}: never halts (control state revisited at step {step})"
+    if isinstance(outcome, Halted):
+        return f"{fact.canonical()}: actual output is {outcome.output or 'eps'}"
+    return f"{fact.canonical()}: still running after {budget} steps"
 
 
 @_record
@@ -175,21 +167,26 @@ class Theory:
 
     @classmethod
     def certified(cls, facts, budget: int = DEFAULT_CERT_BUDGET) -> "Theory":
-        """Build a theory, re-verifying every fact against the machine; each
-        distinct program is classified once, however many facts state it."""
+        """Build a theory whose every fact is in `_run_facts` of its program's
+        outcome; each distinct program is classified once, however many facts state it."""
         facts = tuple(facts)
-        classified = cache(lambda program: classify(program, budget))
+        runs: dict[str, tuple[object, list[Statement]]] = {}
         for fact in facts:
-            _certify_fact(fact, budget, classified)
+            if fact.kind in FACT_KINDS and fact.program not in runs:
+                try:
+                    outcome = classify(fact.program, budget)
+                except InvalidProgram as exc:
+                    raise UncertifiableFact(f"{fact.canonical()}: invalid program ({exc})") from exc
+                runs[fact.program] = outcome, _run_facts(fact.program, outcome)
+            outcome, certified = runs.get(fact.program, (None, ()))
+            if fact not in certified:
+                raise UncertifiableFact(_refusal(fact, outcome, budget))
         return cls(facts)
 
 
 def theory_for_programs(programs, budget: int = DEFAULT_CERT_BUDGET) -> Theory:
     """The theory of everything certify_run_axioms says about `programs`."""
-    facts: list[Statement] = []
-    for program in programs:
-        facts.extend(certify_run_axioms(program, budget))
-    return Theory(tuple(facts))
+    return Theory(tuple(fact for p in programs for fact in certify_run_axioms(p, budget)))
 
 
 @_record
@@ -213,7 +210,8 @@ def shorter_valid_programs(length: int) -> list[str]:
     return [bits for n in range(1, length) for bits in programs(n)]
 
 
-class _Index(NamedTuple):
+@_record
+class _Index:
     """What the prover reads of one theory, each part built once."""
 
     facts: frozenset[Statement]

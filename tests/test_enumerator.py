@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -291,6 +292,32 @@ def test_parallel_enumeration_matches_serial():
     serial = enumerate_programs(7, 100)
     for workers in (2, 3):
         assert enumerate_programs(7, 100, workers=workers) == serial
+
+
+def test_the_pool_starts_no_idle_process(monkeypatch):
+    # Under fork a pool starts every worker it is given at the first submit,
+    # so the count asked for is the count started. The fake maps in this
+    # process and records that count; no process is started.
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = enumerate_programs(3, 10)
+    assert enumerate_programs(3, 10, workers=8) == serial  # three chunks, one per length
+    assert enumerate_programs(1, 10, workers=8) == enumerate_programs(1, 10)  # one chunk
+    assert asked == [3]
 
 
 def _fresh_imports(*argv):

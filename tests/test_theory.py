@@ -123,13 +123,15 @@ def test_certified_theory_accepts_true_facts():
 
 
 def test_certified_theory_rejects_false_output():
-    with pytest.raises(UncertifiableFact):
+    with pytest.raises(UncertifiableFact) as caught:
         Theory.certified([Statement("outputs", "01001", "1")], budget=100)
+    assert str(caught.value) == "(outputs 01001 1): actual output is 0"
 
 
 def test_certified_theory_rejects_false_loop():
-    with pytest.raises(UncertifiableFact):
+    with pytest.raises(UncertifiableFact) as caught:
         Theory.certified([Statement("loops", "01001")], budget=100)
+    assert str(caught.value) == "(loops 01001): no loop certificate within 100 steps"
 
 
 @pytest.mark.parametrize(
@@ -152,8 +154,13 @@ def test_certification_of_counter_growth_is_still_running():
 
 
 def test_certified_theory_rejects_elegant_facts():
-    with pytest.raises(UncertifiableFact):
+    with pytest.raises(UncertifiableFact) as caught:
         Theory.certified([Statement("elegant", "1")], budget=100)
+    assert str(caught.value) == "(elegant 1): facts are limited to halts/outputs/loops"
+    # The kind is checked before the program is run: 10 is not a program.
+    with pytest.raises(UncertifiableFact) as caught:
+        Theory.certified([Statement("elegant", "10")], budget=100)
+    assert str(caught.value) == "(elegant 10): facts are limited to halts/outputs/loops"
 
 
 def test_certification_classifies_each_program_once(monkeypatch):
@@ -168,6 +175,27 @@ def test_certification_classifies_each_program_once(monkeypatch):
     )
     assert Theory.certified(facts, budget=100).facts == facts
     assert sorted(calls) == sorted(set(programs))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 10, 100, 1000])
+def test_certified_accepts_exactly_what_the_writer_writes(budget):
+    # At small budgets most programs are still running and state nothing.
+    # Each candidate fact about a short program is accepted iff it is written.
+    facts = theory_for_programs(shorter_valid_programs(12), budget).facts
+    assert Theory.certified(facts, budget).facts == facts
+    written = set(facts)
+    for program in shorter_valid_programs(10):
+        for fact in (
+            Statement("halts", program),
+            Statement("loops", program),
+            Statement("outputs", program, ""),
+            Statement("outputs", program, "0"),
+        ):
+            if fact in written:
+                assert Theory.certified([fact], budget).facts == (fact,)
+            else:
+                with pytest.raises(UncertifiableFact):
+                    Theory.certified([fact], budget)
 
 
 def test_backdoor_construction_skips_certification():
