@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable
 
 from .enumerator import EnumState
-from .vm import _length_lex, _record
+from .vm import _record
 
 
 @_record
@@ -22,21 +21,18 @@ class OmegaBound:
     source: tuple[int, int]  # (max_len, budget) provenance of the census
 
 
-def _mass(programs: Iterable[str]) -> Fraction:
-    """Sum of 1/2^K over the K-bit programs, one term per length K."""
-    per_length = Counter(len(p) for p in programs)
-    return sum((Fraction(count, 2**k) for k, count in per_length.items()), start=Fraction(0))
-
-
 def from_state(state: EnumState) -> OmegaBound:
     """The bound of a whole census: each K-bit halting program adds 1/2^K.
 
     Linear: one pass counts the programs of each length K, and each length
-    adds count_K/2^K. `load` and `extend` give distinct programs, which
-    form a prefix-free set, so the sum is below one (Kraft).
+    adds count_K/2^K. `load` and `extend` give distinct valid programs, and
+    valid programs are prefix-free, so the sum is below one. Tests check
+    that in place of a runtime check: acceptance criterion 1 (no prefix
+    pairs up to 14 bits) and `test_the_code_is_complete` (mass identity).
     """
-    programs = (rec.program for rec in state.records)
-    return OmegaBound(_mass(programs), (state.max_len_done, state.budget))
+    per_length = Counter(len(rec.program) for rec in state.records)
+    value = sum((Fraction(count, 2**k) for k, count in per_length.items()), start=Fraction(0))
+    return OmegaBound(value, (state.max_len_done, state.budget))
 
 
 def binary_expansion(bound: OmegaBound, k: int) -> str:
@@ -53,28 +49,6 @@ def binary_expansion(bound: OmegaBound, k: int) -> str:
         else:
             digits.append("0")
     return "".join(digits)
-
-
-@_record
-class KraftResult:
-    ok: bool
-    mass: Fraction
-    violation: tuple[str, str] | None = None  # (prefix, extension) when not prefix-free
-
-
-def kraft_check(programs: Iterable[str]) -> KraftResult:
-    """Verify a set of program strings is prefix-free with total mass
-    strictly below one."""
-    members = set(programs)
-    programs = sorted(members, key=_length_lex)
-    mass = _mass(programs)
-    for p in programs:
-        for cut in range(1, len(p)):
-            if p[:cut] in members:
-                return KraftResult(False, mass, (p[:cut], p))
-    if mass >= 1:
-        return KraftResult(False, mass)
-    return KraftResult(True, mass)
 
 
 def format_report(bound: OmegaBound, halting: int, pending: int, bits: int) -> str:

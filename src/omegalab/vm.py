@@ -260,6 +260,7 @@ def decode(bits: str) -> Program:
 
 
 def encode_instructions(instructions: tuple[Instruction, ...]) -> str:
+    """The program bits of an instruction tuple: the inverse of `decode`."""
     parts = [gamma_encode(len(instructions) + 1)]
     for ins in instructions:
         parts.append(ins.op.value)
@@ -269,7 +270,11 @@ def encode_instructions(instructions: tuple[Instruction, ...]) -> str:
 
 
 def assemble(instructions) -> Program:
-    """Build a Program from an instruction list; inverse of decode."""
+    """Build a Program from an instruction list, to write programs by instruction.
+
+    The inverse of decode: decode(assemble(ins).bits) == assemble(ins) for
+    any instruction tuple.
+    """
     instructions = tuple(instructions)
     return Program(encode_instructions(instructions), instructions)
 

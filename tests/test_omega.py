@@ -4,14 +4,8 @@ from fractions import Fraction
 import pytest
 
 from omegalab.enumerator import EnumState, enumerate_programs
-from omegalab.omega import (
-    KraftResult,
-    OmegaBound,
-    binary_expansion,
-    format_report,
-    from_state,
-    kraft_check,
-)
+from omegalab.omega import OmegaBound, binary_expansion, format_report, from_state
+from omegalab.vm import InvalidProgram, InvalidReason, decode, programs
 
 from naive_vm import naive_census, naive_omega
 
@@ -96,28 +90,30 @@ def test_matches_naive_mass():
     assert from_state(state).value == Fraction(num, den)
 
 
-def test_kraft_check_on_real_census():
-    census = [r.program for r in enumerate_programs(10, 1000).records]
-    mass = sum((Fraction(1, 2 ** len(p)) for p in census), start=Fraction(0))
-    assert mass < 1
-    assert kraft_check(census) == KraftResult(True, mass)
-    # A prefix of three census programs: the first extension in length-lex order is named.
-    assert kraft_check([*census, "0100"]) == KraftResult(
-        False, mass + Fraction(1, 16), ("0100", "01000")
-    )
-
-
-def test_kraft_check_flags_prefix_pair():
-    assert kraft_check(["1", "10"]) == KraftResult(False, Fraction(3, 4), ("1", "10"))
-
-
-def test_kraft_check_empty():
-    assert kraft_check([]) == KraftResult(True, Fraction(0))
-
-
-def test_kraft_check_flags_excess_mass():
-    # prefix-free set with mass exactly 1: both one-bit strings
-    assert kraft_check(["0", "1"]) == KraftResult(False, Fraction(1))
+@pytest.mark.parametrize("length", range(1, 17))
+def test_the_code_is_complete(length):
+    """No L-bit string is a dead end: each one extends a program of at most
+    L bits (valid, or Leftover past a valid proper prefix), or runs out of
+    bits mid-decode (Truncated or MalformedGamma) and so may still become
+    one. The programs up to L bits and the strings still open at L share
+    the unit mass exactly, so a set of programs proved never to halt
+    bounds Omega from above."""
+    shorter = {p for n in range(length) for p in programs(n)}
+    mass = sum((Fraction(len(list(programs(n))), 2**n) for n in range(length + 1)), Fraction(0))
+    leftover, prefixed, still_open = set(), set(), 0
+    for i in range(2**length):
+        bits = format(i, f"0{length}b")
+        if any(bits[:cut] in shorter for cut in range(1, length)):
+            prefixed.add(bits)
+        try:
+            decode(bits)
+        except InvalidProgram as e:
+            if e.reason is InvalidReason.LEFTOVER:
+                leftover.add(bits)
+            else:
+                still_open += 1
+    assert leftover == prefixed
+    assert mass + Fraction(still_open, 2**length) == 1
 
 
 def test_report_format():

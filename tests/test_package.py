@@ -12,7 +12,7 @@ PUBLIC = {
     "enumerator": (
         "EnumState", "HaltRecord", "enumerate_programs", "extend", "load", "refine", "save",
     ),
-    "omega": ("OmegaBound", "binary_expansion", "from_state", "kraft_check"),
+    "omega": ("OmegaBound", "binary_expansion", "from_state"),
     "reals": (
         "CoverReport", "DiagonalReal", "DigitStream", "borel_cover", "borel_strings",
         "diagonal", "digit_at",

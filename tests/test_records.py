@@ -14,7 +14,7 @@ import pytest
 
 from omegalab.elegant import CompressionReport, ElegantVerdict
 from omegalab.enumerator import EnumState, HaltRecord
-from omegalab.omega import KraftResult, OmegaBound
+from omegalab.omega import OmegaBound
 from omegalab.reals import CoverInterval, CoverReport, DiagonalReal, DigitStream
 from omegalab.theory import CheckResult, FrontierReport, Proof, Statement, Theory, Unprovable
 from omegalab.vm import Halted, Instruction, InvalidProgram, LoopCert, Op, Program, Running
@@ -43,7 +43,6 @@ RECORDS = [
         2,
     ),
     (OmegaBound, {"value": Fraction(1, 2), "source": (1, 10)}, Fraction(1, 4)),
-    (KraftResult, {"ok": False, "mass": Fraction(3, 4), "violation": ("1", "10")}, True),
     (
         ElegantVerdict,
         {
@@ -152,7 +151,6 @@ def test_records_pickle_and_copy(cls, fields, other):
 def test_defaults():
     assert Instruction(Op.HALT).offset is None
     assert ElegantVerdict("0", ("01001",), True, (5, 10)).unresolved == ()
-    assert KraftResult(True, Fraction(1, 2)).violation is None
     assert CheckResult(True).reason is None
     assert Theory().facts == ()
     assert Statement("halts", "1").output is None

@@ -264,6 +264,14 @@ def test_assemble_round_trip():
         [Instruction(Op.EMIT1), Instruction(Op.INCA), Instruction(Op.DJZA, -2)]
     )
     assert decode(program.bits) == program
+    rng = random.Random(1616)
+    for _ in range(200):
+        ops = rng.choices(list(Op), k=rng.randrange(8))
+        instructions = [
+            Instruction(op, rng.randrange(-40, 41) if op in (Op.DJZA, Op.DJZB) else None)
+            for op in ops
+        ]
+        assert decode(assemble(instructions).bits) == assemble(instructions)
 
 
 def test_instruction_offset_validation():
