@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import count, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, TypeVar
 
@@ -28,7 +27,6 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 DEFAULT_OMEGA_BITS = 16
-BOREL_CHUNK = 4096  # report lines per write
 
 T = TypeVar("T")
 
@@ -279,13 +277,11 @@ def cmd_cover(args: argparse.Namespace) -> int:
 def cmd_borel(args: argparse.Namespace) -> int:
     from . import reals
 
-    strings = islice(reals.borel_strings(), args.prefix)
-    # Written in chunks so memory does not grow with --prefix. The first
-    # chunk is written even when empty: an empty report is one newline.
-    for k in range(1, max(args.prefix, 1) + 1, BOREL_CHUNK):
-        chunk = list(islice(strings, BOREL_CHUNK))
-        digits = reals.borel_digits(chunk, args.budget)
-        _emit([f"{n} {text} {d}" for n, text, d in zip(count(k), chunk, digits)])
+    # Written a group at a time, so memory does not grow with --prefix.
+    for piece in reals.borel_report(args.prefix, args.budget):
+        sys.stdout.write(piece)
+    if not args.prefix:
+        _emit([])  # an empty report is one newline
     return EXIT_OK
 
 

@@ -9,12 +9,25 @@ bite. Covers shrink geometrically: point N gets an interval of width
 epsilon/2^N, totalling epsilon(1 - 2^-N) exactly. The oracle digits
 classify every string of a tiny question language about programs, with
 "undecided within budget" standing in for unanswerable.
+
+The Borel report numbers the strings in length-lex order. The first string
+of length m is line R_m = (10**m - 1) / 9, and a string's offset within
+its length is its alphabet indices read as a base-10 number. A report
+group is the 1,000 strings that share a head P, all but their last 3
+characters. If P is the gth string of length m - 3, the group covers
+lines 1000 * h + 111 to 1000 * h + 1110, where h = R_(m-3) + g, so each
+line number is h or h + 1 followed by three digits. Every member of the
+language starts with "H(" or "O(". So when P starts with neither, every
+digit of the group is 0, and the group is one template with h, h + 1 and
+P filled in. The regex and the machine run only for strings of up to 4
+characters, for groups whose P starts with "H(" or "O(", and for a last
+group that the prefix cuts.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, compress, count, product
+from itertools import chain, compress, count, islice, product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .vm import Halted, InvalidProgram, LoopCert, _record, classify, decode, stream_output
@@ -25,9 +38,13 @@ if TYPE_CHECKING:
 BITS_PER_DIGIT = 4
 
 BOREL_ALPHABET = ("H", "O", "(", ")", ",", ".", "?", "0", "1", "e")
+# A report group is the 10**GROUP_TAIL strings that differ only in their
+# last GROUP_TAIL characters.
+GROUP_TAIL = 3
 
 # The question language: "H(p)" and "O(p,s)" closed by "?" (a question) or
 # "." (a statement), where each bit string is "e" (empty) or a run of 0/1.
+# Every match starts with "H(" or "O(": borel_report relies on it.
 _QUESTION = re.compile(r"H\((e|[01]+)\)([.?])|O\((e|[01]+),(e|[01]+)\)([.?])")
 
 
@@ -173,3 +190,54 @@ def borel_digits(texts: Sequence[str], budget: int) -> list[int]:
     for i in compress(count(), matches):
         digits[i] = _match_digit(matches[i], budget)
     return digits
+
+
+def _report_lines(first: int, texts: Sequence[str], budget: int) -> str:
+    """Report lines "k text digit" for texts, numbered from `first`."""
+    digits = borel_digits(texts, budget)
+    return "".join(f"{k} {text} {d}\n" for k, text, d in zip(count(first), texts, digits))
+
+
+def _first_line(length: int) -> int:
+    """R_length = (10**length - 1) / 9, the line of the first string of that length."""
+    return (10**length - 1) // 9
+
+
+def borel_report(prefix: int, budget: int) -> Iterator[str]:
+    """The first `prefix` lines "k text digit" of the Borel report, where
+    text is the kth string of borel_strings(), one group at a time.
+
+    The pieces join to the whole report. Each holds at most one group of
+    10**GROUP_TAIL lines, so memory does not grow with `prefix`.
+    """
+    tail = GROUP_TAIL
+    size = 10**tail
+    suffixes = ["".join(chars) for chars in product(BOREL_ALPHABET, repeat=tail)]
+    # Strings shorter than tail + 2 characters go line by line.
+    strings = borel_strings()
+    short = min(prefix, _first_line(tail + 2) - 1)
+    for first in range(1, short + 1, size):
+        yield _report_lines(first, list(islice(strings, min(size, short + 1 - first))), budget)
+    # The group whose head is the gth string of its length covers lines
+    # size * h + low + j for j < size, where h = R(head length) + g and
+    # low = R(tail). Since low + j < 2 * size, each line number is h or
+    # h + 1 followed by `tail` digits: markers \0 and \1, and \2 for the head.
+    low = _first_line(tail)
+    marks = "\0\1"
+    template = "".join(
+        f"{marks[num // size]}{num % size:0{tail}d} \2{suffix} 0\n"
+        for num, suffix in zip(count(low), suffixes)
+    )
+    for length in count(tail + 2):
+        h = _first_line(length - tail)
+        for chars in product(BOREL_ALPHABET, repeat=length - tail):
+            first = size * h + low
+            if first > prefix:
+                return
+            head = "".join(chars)
+            if first + size - 1 > prefix or head[:2] in ("H(", "O("):
+                texts = [head + suffix for suffix in suffixes[: prefix + 1 - first]]
+                yield _report_lines(first, texts, budget)
+            else:  # no string of the group matches _QUESTION: digit 0 on every line
+                yield template.replace("\0", str(h)).replace("\1", str(h + 1)).replace("\2", head)
+            h += 1

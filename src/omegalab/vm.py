@@ -38,6 +38,13 @@ class InvalidReason(Enum):
     MALFORMED_GAMMA = "MalformedGamma"
 
 
+# Bound once: decode raises with these for ~99% of a census's strings, and
+# a module-level name is cheaper to load than an Enum member lookup.
+_TRUNCATED = InvalidReason.TRUNCATED
+_LEFTOVER = InvalidReason.LEFTOVER
+_MALFORMED_GAMMA = InvalidReason.MALFORMED_GAMMA
+
+
 class InvalidProgram(ValueError):
     """Raised as InvalidProgram(reason) when a bit string is not a valid program."""
 
@@ -215,20 +222,20 @@ def decode(bits: str) -> Program:
     k = bits.find("1")
     if not k:  # header 1: zero instructions
         if n > 1:
-            raise InvalidProgram(InvalidReason.LEFTOVER)
+            raise InvalidProgram(_LEFTOVER)
         return Program(bits, ())
     body = 2 * k + 1
     if k < 0 or body > n:
-        raise InvalidProgram(InvalidReason.MALFORMED_GAMMA)
+        raise InvalidProgram(_MALFORMED_GAMMA)
     count = int(bits[k:body], 2) - 1
     pos = body
     for _ in range(count):
         if bits[pos : pos + 2] != "11":  # 00 / 01 / 10, or fewer than two bits left
             pos += 2
             if pos > n:
-                raise InvalidProgram(InvalidReason.TRUNCATED)
+                raise InvalidProgram(_TRUNCATED)
         elif pos + 4 > n:
-            raise InvalidProgram(InvalidReason.TRUNCATED)
+            raise InvalidProgram(_TRUNCATED)
         elif bits[pos + 2] == "0":  # 1100 / 1101
             pos += 4
         else:  # 1110 / 1111, then a gamma-coded offset
@@ -236,9 +243,9 @@ def decode(bits: str) -> Program:
             k = bits.find("1", start)
             pos = 2 * k - start + 1
             if k < 0 or pos > n:
-                raise InvalidProgram(InvalidReason.MALFORMED_GAMMA)
+                raise InvalidProgram(_MALFORMED_GAMMA)
     if pos != n:
-        raise InvalidProgram(InvalidReason.LEFTOVER)
+        raise InvalidProgram(_LEFTOVER)
 
     instructions = []
     pos = body

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from omegalab import cli
+from omegalab import cli, reals
 from omegalab.cli import main, parse_points_file, UsageError
 from omegalab.reals import BOREL_ALPHABET, classify_text
 
@@ -417,7 +417,7 @@ def test_borel_report(capsys):
 
 def test_borel_report_is_the_same_across_write_chunks(capsys, monkeypatch):
     _, whole, _ = invoke(capsys, "borel", "--prefix", "7", "--budget", "10")
-    monkeypatch.setattr(cli, "BOREL_CHUNK", 3)
+    monkeypatch.setattr(reals, "GROUP_TAIL", 1)
     for prefix in (0, 1, 3, 6, 7):
         code, out, _ = invoke(capsys, "borel", "--prefix", str(prefix), "--budget", "10")
         assert code == 0
@@ -426,7 +426,7 @@ def test_borel_report_is_the_same_across_write_chunks(capsys, monkeypatch):
 
 
 def test_borel_report_past_the_all_zero_prefix(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "BOREL_CHUNK", 97)
+    monkeypatch.setattr(reals, "GROUP_TAIL", 1)
     code, out, _ = invoke(capsys, "borel", "--prefix", "14047", "--budget", "10")
     texts = ("".join(chars) for n in count(1) for chars in product(BOREL_ALPHABET, repeat=n))
     want = [f"{k} {text} {classify_text(text, 10)}" for k, text in zip(range(1, 14048), texts)]
@@ -441,6 +441,25 @@ def test_borel_report_past_the_all_zero_prefix(capsys, monkeypatch):
         "13947 H(1)? 4",
         "14047 H(e)? 3",
     ]
+
+
+def test_borel_report_matches_classify_text_across_every_seam(capsys):
+    # Every length-5 group, written from the template or line by line, and
+    # the first groups of length 6.
+    code, out, _ = invoke(capsys, "borel", "--prefix", "130000", "--budget", "10")
+    texts = ("".join(chars) for n in count(1) for chars in product(BOREL_ALPHABET, repeat=n))
+    want = [f"{k} {text} {classify_text(text, 10)}\n" for k, text in zip(range(1, 130_001), texts)]
+    lines = out.splitlines(keepends=True)
+    assert code == 0 and len(lines) == len(want)
+    assert next((pair for pair in zip(lines, want) if pair[0] != pair[1]), None) is None
+    # Cut at the length-5 start, the first group boundary, the first "H("
+    # group and the length-6 start.
+    for prefix in (11_110, 11_111, 11_112, 12_110, 12_111, 12_112,
+                   13_110, 13_111, 13_112, 111_110, 111_111, 111_112):
+        code, out, _ = invoke(capsys, "borel", "--prefix", str(prefix), "--budget", "10")
+        lines = out.splitlines(keepends=True)
+        assert code == 0 and len(lines) == prefix
+        assert next((pair for pair in zip(lines, want) if pair[0] != pair[1]), None) is None
 
 
 # --- theory ---------------------------------------------------------------------

@@ -14,8 +14,8 @@ PUBLIC = {
     ),
     "omega": ("OmegaBound", "binary_expansion", "from_state"),
     "reals": (
-        "CoverReport", "DiagonalReal", "DigitStream", "borel_cover", "borel_strings",
-        "diagonal", "digit_at",
+        "CoverReport", "DiagonalReal", "DigitStream", "borel_cover", "borel_report",
+        "borel_strings", "diagonal", "digit_at",
     ),
     "theory": (
         "Proof", "Statement", "Theory", "Unprovable", "certify_run_axioms", "check_proof",

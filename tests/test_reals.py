@@ -1,9 +1,11 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice, product
 
 import pytest
 
+from omegalab import reals
 from omegalab.reals import (
     BOREL_ALPHABET,
     CoverInterval,
@@ -227,6 +229,39 @@ def test_garbage_strings():
         assert classify_text(text, 10) == 0
 
 
+def top_level_alternatives(pattern):
+    """The branches of a regular expression's outermost "|"."""
+    branches, depth, start, i = [], 0, 0, 0
+    while i < len(pattern):
+        c = pattern[i]
+        if c == "\\":
+            i += 1  # an escaped character is never a bracket or a bar
+        elif c in "([":
+            depth += 1
+        elif c in ")]":
+            depth -= 1
+        elif c == "|" and depth == 0:
+            branches.append(pattern[start:i])
+            start = i + 1
+        i += 1
+    return branches + [pattern[start:]]
+
+
+def test_only_strings_starting_h_or_o_paren_can_parse():
+    # The Borel report writes digit 0 for a whole group without matching
+    # it when the group's strings start with neither "H(" nor "O(".
+    branches = top_level_alternatives(reals._QUESTION.pattern)
+    assert [branch[:3] for branch in branches] == ["H\\(", "O\\("]
+    checked = 0
+    for length in range(1, 6):
+        for chars in product(BOREL_ALPHABET, repeat=length):
+            text = "".join(chars)
+            if text[:2] not in ("H(", "O("):
+                assert classify_text(text, 10) == 0, text
+            checked += 1
+    assert checked == 111_110
+
+
 def test_every_string_gets_exactly_one_digit():
     for text in islice(borel_strings(), 2000):
         assert classify_text(text, 20) in (0, 1, 2, 3, 4)
@@ -327,3 +362,31 @@ def test_near_misses_of_the_grammar(language):
         if len(text) <= ORACLE_LEN:
             check_against_grammar(text, language)
             checked += 1
+
+
+def line_of(text):
+    """The report line of a string: R(len) = (10**len - 1) / 9, plus its
+    characters' alphabet indices read as a base-10 number."""
+    return (10 ** len(text) - 1) // 9 + int("".join(str(BOREL_ALPHABET.index(c)) for c in text))
+
+
+def test_every_member_up_to_seven_characters_is_reported_at_its_line(language):
+    # Groups starting "O(" hold members only from 7 characters on, and
+    # "O(e,e)?" is the last member of that length: about 2.4 million lines.
+    members = {line_of(text): text for text in language if len(text) <= 7}
+    assert len(members) == 48
+    lines = sorted(members)
+    seen = zeros = 0
+    for piece in reals.borel_report(lines[-1], 10):
+        first = int(piece[: piece.index(" ")])
+        count = piece.count("\n")
+        zeros += piece.count(" 0\n")  # a text holds no space: only a digit 0 ends so
+        inside = lines[bisect_left(lines, first) : bisect_left(lines, first + count)]
+        if inside:
+            split = piece.splitlines()
+            for k in inside:
+                text = members[k]
+                assert split[k - first] == f"{k} {text} {classify_text(text, 10)}"
+        seen += count
+    assert seen == lines[-1]
+    assert zeros == seen - len(members)
