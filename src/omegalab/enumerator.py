@@ -5,11 +5,13 @@ order, skips the syntactically invalid ones, and splits the valid programs
 into a halting census and a pending set. Pending programs are kept so a
 later, larger budget only re-runs them (refine) instead of re-scanning the
 whole tree. States checkpoint to a line-oriented ASCII file with atomic
-writes, and scanning may be spread over up to `workers` processes, never
-more than the chunks, without changing the result: each length is cut
-into contiguous chunks of at most SCAN_CHUNK strings, handed to the pool
-in length order, so a costly stretch of one length is shared among the
-workers instead of falling to one of them.
+writes, and scanning may be spread over N = min(workers, chunks) processes,
+the caller included, without changing the result: each length is cut into
+contiguous chunks of at most SCAN_CHUNK strings, and the N processes claim
+them in length order, each taking the next chunk when it is free, so a
+costly stretch of one length is shared among the processes instead of
+falling to one of them. The caller forks the other N - 1; each sends its
+results back over a pipe.
 
 The scan still calls `run` once on every bit string, and `run` raises
 InvalidProgram for each one that is not a program; it does not walk
@@ -21,16 +23,18 @@ counts the raising calls of `run` as this module binds it.
 
 from __future__ import annotations
 
+import marshal
 import os
+import sys
 import tempfile
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .vm import Halted, InvalidProgram, _is_bits, _length_lex, _record, decode, programs, run
 
 CHECKPOINT_MAGIC = "OMEGALAB v1"
-SCAN_CHUNK = 1 << 15  # strings of one length per unit of pool work
+SCAN_CHUNK = 1 << 15  # strings of one length per unit of scan work
 
 
 @_record
@@ -70,6 +74,43 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[list[tuple[str, str, i
     return records, pending
 
 
+def _scan_claimed(
+    chunks: list[tuple[int, int, int, int]], counter: tuple[int, int]
+) -> list[tuple[list[tuple[str, str, int]], list[str]]]:
+    """Scan each chunk that this process claims, until none is left.
+
+    `counter` is a pipe that holds the index of the next unclaimed chunk,
+    8 bytes, which a process reads and at once writes back one higher. A
+    write that small is atomic and only one index is ever in the pipe, so
+    each index is read whole and by one process.
+    """
+    take, put = counter
+    results = []
+    while True:
+        k = int.from_bytes(os.read(take, 8), "big")
+        os.write(put, (k + 1).to_bytes(8, "big"))
+        if k >= len(chunks):
+            return results
+        results.append(_scan_chunk(chunks[k]))
+
+
+def _scan_share(
+    chunks: list[tuple[int, int, int, int]], counter: tuple[int, int], write_end: int
+) -> NoReturn:
+    """In a forked child: send the scan of the chunks it claims down the
+    pipe and exit, with status 1 and the traceback printed if it raised."""
+    status = 1
+    try:
+        with os.fdopen(write_end, "wb") as pipe:
+            marshal.dump(_scan_claimed(chunks, counter), pipe)
+        status = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)  # never back into the caller's frames
+
+
 def _scan_lengths(
     lengths: Iterable[int], budget: int, workers: int
 ) -> tuple[set[HaltRecord], set[str]]:
@@ -78,16 +119,32 @@ def _scan_lengths(
         for length in lengths
         for lo in range(0, 1 << length, SCAN_CHUNK)
     ]
-    workers = min(workers, len(chunks))  # a pool forks all its workers at once
-    if workers > 1:
-        # Imported here: every other command would pay for loading
-        # multiprocessing without ever starting a pool.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, chunks))
-    else:
-        results = [_scan_chunk(chunk) for chunk in chunks]
+    n = min(workers, len(chunks)) if hasattr(os, "fork") else 1
+    counter = os.pipe()
+    os.write(counter[1], bytes(8))  # chunk 0 is next
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    shares: list[tuple[int, int, bytes]] = []  # (pid, exit status, what it sent)
+    try:
+        for _ in range(1, n):
+            read_end, write_end = os.pipe()
+            if (pid := os.fork()) == 0:
+                _scan_share(chunks, counter, write_end)
+            # Closed before the next fork, or that child would hold it open
+            # and the read below would never see the end of the pipe.
+            os.close(write_end)
+            children.append((pid, read_end))
+        results = _scan_claimed(chunks, counter)
+    finally:
+        for pid, read_end in children:
+            with os.fdopen(read_end, "rb") as pipe:
+                sent = pipe.read()
+            shares.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), sent))
+        for end in counter:
+            os.close(end)
+    for pid, status, sent in shares:
+        if status != 0:
+            raise RuntimeError(f"census scan process {pid} exited with status {status}")
+        results.extend(marshal.loads(sent))
     records: set[HaltRecord] = set()
     pending: set[str] = set()
     for recs, pend in results:

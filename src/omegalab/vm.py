@@ -51,7 +51,7 @@ class InvalidProgram(ValueError):
     # No __init__: a census raises this for ~99% of its strings, and without
     # one the exception is built in C, with no Python frame. The member stays
     # in args[0], so pickle and copy, which rebuild an exception from its
-    # args, give back the same member (a pool worker's exception is pickled).
+    # args, give back the same member.
 
     @property
     def reason(self) -> InvalidReason:

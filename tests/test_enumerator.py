@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 import subprocess
 import sys
@@ -295,29 +294,68 @@ def test_parallel_enumeration_matches_serial():
 
 
 def test_the_pool_starts_no_idle_process(monkeypatch):
-    # Under fork a pool starts every worker it is given at the first submit,
-    # so the count asked for is the count started. The fake maps in this
-    # process and records that count; no process is started.
-    asked = []
+    # The caller scans too, and there are never more processes than
+    # chunks, so N processes fork N - 1 children.
+    forks = []
+    fork = os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    def counted_fork():
+        forks.append("fork")
+        return fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return None
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    serial = enumerate_programs(3, 10)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    serial = enumerate_programs(3, 10, workers=1)
+    assert forks == []
     assert enumerate_programs(3, 10, workers=8) == serial  # three chunks, one per length
+    assert len(forks) == 2
     assert enumerate_programs(1, 10, workers=8) == enumerate_programs(1, 10)  # one chunk
-    assert asked == [3]
+    assert len(forks) == 2
+
+
+def test_without_fork_the_caller_scans_alone(monkeypatch):
+    serial = enumerate_programs(9, 100)
+    monkeypatch.delattr(os, "fork")
+    assert enumerate_programs(9, 100, workers=3) == serial
+
+
+def test_no_chunks_need_no_process():
+    assert enumerate_programs(0, 10, workers=8) == enumerate_programs(0, 10)
+    state = enumerate_programs(4, 10)
+    assert extend(state, 4, 10, workers=8) == state
+
+
+@pytest.mark.parametrize(
+    "failing, error",
+    [("child", r"^census scan process \d+ exited with status 1$"), ("caller", "^caller failed$")],
+)
+def test_a_failing_scan_process_leaves_no_child(monkeypatch, capfd, failing, error):
+    # The process that does not fail holds its first chunk until the other
+    # one has failed on a chunk of its own.
+    caller = os.getpid()
+    failed, tell = os.pipe()
+    held = []
+    scan_chunk = enumerator._scan_chunk
+
+    def scan(chunk):
+        if (os.getpid() == caller) == (failing == "caller"):
+            os.write(tell, b"!")
+            raise ArithmeticError(f"{failing} failed")
+        if not held:
+            held.append(os.read(failed, 1))
+        return scan_chunk(chunk)
+
+    monkeypatch.setattr(enumerator, "_scan_chunk", scan)
+    try:
+        with pytest.raises((RuntimeError, ArithmeticError), match=error):
+            enumerate_programs(9, 100, workers=2)
+    finally:
+        os.close(failed)
+        os.close(tell)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if failing == "child":
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "ArithmeticError: child failed" in err
 
 
 def _fresh_imports(*argv):
@@ -338,7 +376,6 @@ def _fresh_imports(*argv):
 
 
 def test_importing_the_cli_leaves_the_worker_pool_unloaded():
-    # Only a parallel scan needs the pool, so only it pays for the import.
     code, _, imported = _fresh_imports("-c", "import omegalab.cli")
     assert code == 0
     assert "concurrent" not in imported and "multiprocessing" not in imported
@@ -361,6 +398,14 @@ def test_the_run_subcommand_loads_the_machine_alone():
     assert not imported.keys() & {"dataclasses", "fractions", "concurrent"}
 
 
+def test_a_parallel_census_imports_no_pool(tmp_path):
+    # Eight chunks in two processes: the scan forks, but loads no pool.
+    argv = ("enumerate", "--max-len", "8", "--budget", "10", "--workers", "2", "--checkpoint")
+    code, out, imported = _fresh_imports("-m", "omegalab", *argv, str(tmp_path / "c.ck"))
+    assert (code, out.split()[:2]) == (0, ["ENUMERATED", "len<=8"])
+    assert not imported.keys() & {"concurrent", "multiprocessing"}
+
+
 def test_small_chunks_match_serial(monkeypatch):
     serial = enumerate_programs(9, 100)
     base = enumerate_programs(6, 100)
@@ -368,6 +413,27 @@ def test_small_chunks_match_serial(monkeypatch):
     for workers in (1, 2, 3):
         assert enumerate_programs(9, 100, workers=workers) == serial
         assert extend(base, 9, 100, workers=workers) == serial
+
+
+def test_each_chunk_is_scanned_once_by_some_process(monkeypatch):
+    # Each process reports the chunks it scans down one pipe; lines this
+    # short are written whole, and all of them fit in the pipe.
+    scanned, report = os.pipe()
+    scan_chunk = enumerator._scan_chunk
+
+    def scan(chunk):
+        os.write(report, f"{chunk[0]} {chunk[1]}\n".encode())
+        return scan_chunk(chunk)
+
+    monkeypatch.setattr(enumerator, "SCAN_CHUNK", 3)
+    monkeypatch.setattr(enumerator, "_scan_chunk", scan)
+    try:
+        enumerate_programs(9, 100, workers=3)
+    finally:
+        os.close(report)
+    with os.fdopen(scanned) as lines:
+        claims = sorted(tuple(map(int, line.split())) for line in lines)
+    assert claims == [(n, lo) for n in range(1, 10) for lo in range(0, 1 << n, 3)]
 
 
 def test_scan_chunks_tile_each_length_in_order(monkeypatch):

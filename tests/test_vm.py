@@ -144,7 +144,8 @@ def test_invalid_program_message_is_the_reason_text():
 
 
 def test_invalid_program_survives_pickle_and_copy():
-    # A census worker's exception reaches the pool's parent pickled.
+    # Pickle and copy rebuild an exception from its args alone; InvalidProgram
+    # has no __init__ and keeps its reason there, so the member comes back.
     for reason in InvalidReason:
         error = InvalidProgram(reason)
         for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
