@@ -191,9 +191,12 @@ def _unzigzag(z: int) -> int:
     return z // 2 if z % 2 == 0 else -(z // 2) - 1
 
 
+_NOT_BITS = str.maketrans("", "", "01")  # translate by it deletes every 0 and 1
+
+
 def _is_bits(s: str) -> bool:
     """Whether `s` is a bit string; the empty string is one."""
-    return not s.strip("01")
+    return not s.translate(_NOT_BITS)
 
 
 # The operand-free instructions by opcode; frozen, so all programs share them.
@@ -217,7 +220,7 @@ def decode(bits: str) -> Program:
     starting at `start` whose first 1 is at `k` ends at k + (k - start) + 1.
     """
     n = len(bits)
-    if bits.strip("01"):  # _is_bits, inline: a census decodes every string it scans
+    if bits.translate(_NOT_BITS):  # _is_bits, inline: a census decodes every string it scans
         raise ValueError("program bits must be '0'/'1' characters")
     k = bits.find("1")
     if not k:  # header 1: zero instructions

@@ -17,6 +17,7 @@ from omegalab.enumerator import (
     refine,
     save,
 )
+from omegalab.vm import run
 
 from naive_vm import naive_census, naive_reason
 
@@ -284,6 +285,7 @@ def test_load_does_not_decode(tmp_path, monkeypatch):
     path = tmp_path / "census.ck"
     save(enumerate_programs(8, 100), path)
     monkeypatch.setattr(omegalab.vm, "decode", refuse)
+    monkeypatch.setattr(enumerator, "decode", refuse)
     assert load(path).max_len_done == 8
 
 
@@ -407,12 +409,35 @@ def test_a_parallel_census_imports_no_pool(tmp_path):
 
 
 def test_small_chunks_match_serial(monkeypatch):
-    serial = enumerate_programs(9, 100)
+    # Past the tail width, a chunk's bounds fall inside a head's tails.
+    assert 12 > enumerator._TAIL_BITS
+    serial = enumerate_programs(12, 100)
     base = enumerate_programs(6, 100)
-    monkeypatch.setattr(enumerator, "SCAN_CHUNK", 3)
-    for workers in (1, 2, 3):
-        assert enumerate_programs(9, 100, workers=workers) == serial
-        assert extend(base, 9, 100, workers=workers) == serial
+    for chunk in (3, 1000):
+        monkeypatch.setattr(enumerator, "SCAN_CHUNK", chunk)
+        for workers in (1, 2, 3):
+            assert enumerate_programs(12, 100, workers=workers) == serial
+            assert extend(base, 12, 100, workers=workers) == serial
+
+
+def test_scan_chunk_runs_each_string_of_its_range_once_in_order(monkeypatch):
+    seen = []
+
+    def record(bits, budget):
+        seen.append(bits)
+        return run(bits, budget)
+
+    monkeypatch.setattr(enumerator, "run", record)
+    for length in range(14):
+        size = 1 << length
+        for step in (3, 1000, 1 << enumerator._TAIL_BITS, size):
+            for lo in range(0, size, step):
+                hi = min(lo + step, size)
+                seen.clear()
+                enumerator._scan_chunk((length, lo, hi, 10))
+                # The one string of no bits is "", where format(0, "00b") is "0".
+                want = [format(i, f"0{length}b") if length else "" for i in range(lo, hi)]
+                assert seen == want, (length, lo, hi)
 
 
 def test_each_chunk_is_scanned_once_by_some_process(monkeypatch):

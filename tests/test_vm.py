@@ -13,6 +13,7 @@ from omegalab.vm import (
     LoopCert,
     Op,
     Running,
+    _is_bits,
     assemble,
     classify,
     decode,
@@ -125,11 +126,20 @@ def test_decode_malformed_jump_offset():
 
 
 def test_decode_rejects_non_bit_characters():
-    for bad in ("01x01", " 1", "1\n", "2", "01001 "):
+    # Digits of other scripts are not bits; nor is a bad character after
+    # the point where the bits alone would already fail to decode.
+    for bad in ("01x01", " 1", "1\n", "2", "01001 ", "٠١", "1０", "1" + "x" * 5):
         with pytest.raises(ValueError) as err:
             decode(bad)
         # InvalidProgram is a ValueError too; a non-bit string is not a verdict
         assert not isinstance(err.value, InvalidProgram), repr(bad)
+
+
+def test_is_bits():
+    for s in ("", "0", "1", "0110"):
+        assert _is_bits(s), repr(s)
+    for s in ("2", " 1", "٠", "01x", "1０"):
+        assert not _is_bits(s), repr(s)
 
 
 def test_decode_empty_string_is_malformed_gamma():
