@@ -39,16 +39,8 @@ def binary_expansion(bound: OmegaBound, k: int) -> str:
     """First k bits after the binary point, exact (the value is dyadic)."""
     if k < 0:
         raise ValueError("digit count must be >= 0")
-    rest = bound.value
-    digits = []
-    for _ in range(k):
-        rest *= 2
-        if rest >= 1:
-            digits.append("1")
-            rest -= 1
-        else:
-            digits.append("0")
-    return "".join(digits)
+    value = bound.value
+    return format(value.numerator * 2**k // value.denominator % 2**k, f"0{k}b") if k else ""
 
 
 def format_report(bound: OmegaBound, halting: int, pending: int, bits: int) -> str:

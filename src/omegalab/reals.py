@@ -16,18 +16,20 @@ its length is its alphabet indices read as a base-10 number. A report
 group is the 1,000 strings that share a head P, all but their last 3
 characters. If P is the gth string of length m - 3, the group covers
 lines 1000 * h + 111 to 1000 * h + 1110, where h = R_(m-3) + g, so each
-line number is h or h + 1 followed by three digits. Every member of the
-language starts with "H(" or "O(". So when P starts with neither, every
-digit of the group is 0, and the group is one template with h, h + 1 and
-P filled in. The regex and the machine run only for strings of up to 4
-characters, for groups whose P starts with "H(" or "O(", and for a last
-group that the prefix cuts.
+line number is h or h + 1 followed by three digits. So a group is one
+template with h, h + 1 and P filled in, cut to the prefix for the last
+group; the strings of up to 4 characters are written line by line. Each
+piece is first written with digit 0 on every line. Every member of the
+language starts with "H(" or "O(", so only the short strings and the
+groups whose P starts with one of those go through one regular-expression
+substitution, which fills in the digit of each member line; the machine
+runs for those members alone.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, compress, count, islice, product
+from itertools import chain, count, product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .vm import Halted, InvalidProgram, LoopCert, _record, classify, decode, stream_output
@@ -46,6 +48,11 @@ GROUP_TAIL = 3
 # "." (a statement), where each bit string is "e" (empty) or a run of 0/1.
 # Every match starts with "H(" or "O(": borel_report relies on it.
 _QUESTION = re.compile(r"H\((e|[01]+)\)([.?])|O\((e|[01]+),(e|[01]+)\)([.?])")
+# A member's report line while its digit is still 0. The wrapper captures
+# nothing, so _match_digit reads these matches as it reads _QUESTION's.
+# Report texts hold no space and no newline, so " text 0\n" matches here
+# exactly when _QUESTION.fullmatch(text) does.
+_MEMBER_LINE = re.compile(f" (?:{_QUESTION.pattern}) 0\n")
 
 
 @_record
@@ -179,23 +186,10 @@ def classify_text(text: str, budget: int) -> int:
     return 0 if match is None else _match_digit(match, budget)
 
 
-def borel_digits(texts: Sequence[str], budget: int) -> list[int]:
-    """classify_text of each string, for a whole batch at once.
-
-    The regex runs over the batch in one C-level map; only the few
-    strings that parse go on to the machine.
-    """
-    matches = list(map(_QUESTION.fullmatch, texts))
-    digits = [0] * len(matches)
-    for i in compress(count(), matches):
-        digits[i] = _match_digit(matches[i], budget)
-    return digits
-
-
-def _report_lines(first: int, texts: Sequence[str], budget: int) -> str:
-    """Report lines "k text digit" for texts, numbered from `first`."""
-    digits = borel_digits(texts, budget)
-    return "".join(f"{k} {text} {d}\n" for k, text, d in zip(count(first), texts, digits))
+def _fill(piece: str, budget: int) -> str:
+    """Report text `piece`, written with digit 0 on every line, with the
+    digit of each line whose text is in the question language filled in."""
+    return _MEMBER_LINE.sub(lambda m: f"{m[0][:-2]}{_match_digit(m, budget)}\n", piece)
 
 
 def _first_line(length: int) -> int:
@@ -207,17 +201,17 @@ def borel_report(prefix: int, budget: int) -> Iterator[str]:
     """The first `prefix` lines "k text digit" of the Borel report, where
     text is the kth string of borel_strings(), one group at a time.
 
-    The pieces join to the whole report. Each holds at most one group of
-    10**GROUP_TAIL lines, so memory does not grow with `prefix`.
+    The pieces join to the whole report. Each holds at most 10**GROUP_TAIL
+    lines, so memory does not grow with `prefix`.
     """
     tail = GROUP_TAIL
     size = 10**tail
-    suffixes = ["".join(chars) for chars in product(BOREL_ALPHABET, repeat=tail)]
-    # Strings shorter than tail + 2 characters go line by line.
+    # Strings shorter than tail + 2 characters are written line by line.
     strings = borel_strings()
     short = min(prefix, _first_line(tail + 2) - 1)
     for first in range(1, short + 1, size):
-        yield _report_lines(first, list(islice(strings, min(size, short + 1 - first))), budget)
+        lines = zip(range(first, min(first + size, short + 1)), strings)
+        yield _fill("".join(f"{k} {text} 0\n" for k, text in lines), budget)
     # The group whose head is the gth string of its length covers lines
     # size * h + low + j for j < size, where h = R(head length) + g and
     # low = R(tail). Since low + j < 2 * size, each line number is h or
@@ -225,9 +219,10 @@ def borel_report(prefix: int, budget: int) -> Iterator[str]:
     low = _first_line(tail)
     marks = "\0\1"
     template = "".join(
-        f"{marks[num // size]}{num % size:0{tail}d} \2{suffix} 0\n"
-        for num, suffix in zip(count(low), suffixes)
+        f"{marks[num // size]}{num % size:0{tail}d} \2{''.join(chars)} 0\n"
+        for num, chars in zip(count(low), product(BOREL_ALPHABET, repeat=tail))
     )
+    width = len(template) // size  # every template line has the same length
     for length in count(tail + 2):
         h = _first_line(length - tail)
         for chars in product(BOREL_ALPHABET, repeat=length - tail):
@@ -235,9 +230,8 @@ def borel_report(prefix: int, budget: int) -> Iterator[str]:
             if first > prefix:
                 return
             head = "".join(chars)
-            if first + size - 1 > prefix or head[:2] in ("H(", "O("):
-                texts = [head + suffix for suffix in suffixes[: prefix + 1 - first]]
-                yield _report_lines(first, texts, budget)
-            else:  # no string of the group matches _QUESTION: digit 0 on every line
-                yield template.replace("\0", str(h)).replace("\1", str(h + 1)).replace("\2", head)
+            piece = template[: min(size, prefix + 1 - first) * width]  # the last group is cut
+            piece = piece.replace("\0", str(h)).replace("\1", str(h + 1)).replace("\2", head)
+            # Only a group whose strings start "H(" or "O(" can hold a member.
+            yield _fill(piece, budget) if head[:2] in ("H(", "O(") else piece
             h += 1

@@ -444,7 +444,7 @@ def test_borel_report_past_the_all_zero_prefix(capsys, monkeypatch):
 
 
 def test_borel_report_matches_classify_text_across_every_seam(capsys):
-    # Every length-5 group, written from the template or line by line, and
+    # Every length-5 group, filled or left with digit 0 on every line, and
     # the first groups of length 6.
     code, out, _ = invoke(capsys, "borel", "--prefix", "130000", "--budget", "10")
     texts = ("".join(chars) for n in count(1) for chars in product(BOREL_ALPHABET, repeat=n))
@@ -453,9 +453,10 @@ def test_borel_report_matches_classify_text_across_every_seam(capsys):
     assert code == 0 and len(lines) == len(want)
     assert next((pair for pair in zip(lines, want) if pair[0] != pair[1]), None) is None
     # Cut at the length-5 start, the first group boundary, the first "H("
-    # group and the length-6 start.
-    for prefix in (11_110, 11_111, 11_112, 12_110, 12_111, 12_112,
-                   13_110, 13_111, 13_112, 111_110, 111_111, 111_112):
+    # group, right after its members "H(1)." (digit 1) and "H(1)?" (digit 4),
+    # and at the length-6 start.
+    for prefix in (11_110, 11_111, 11_112, 12_110, 12_111, 12_112, 13_110, 13_111,
+                   13_112, 13_946, 13_947, 111_110, 111_111, 111_112):
         code, out, _ = invoke(capsys, "borel", "--prefix", str(prefix), "--budget", "10")
         lines = out.splitlines(keepends=True)
         assert code == 0 and len(lines) == prefix

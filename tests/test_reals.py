@@ -11,7 +11,6 @@ from omegalab.reals import (
     CoverInterval,
     DigitStream,
     borel_cover,
-    borel_digits,
     borel_strings,
     classify_text,
     diagonal,
@@ -279,10 +278,13 @@ def test_batch_digits_equal_classify_text():
     for _ in range(2000):
         p, s = rng.choice(programs), rng.choice(outputs)
         texts.append(rng.choice((f"O({p},{s})?", f"O({p},{s}).", f"H({p})?", f"H({p}).")))
-    digits = borel_digits(texts, 50)
+    filled = reals._fill("".join(f"{k} {text} 0\n" for k, text in enumerate(texts)), 50)
+    lines = [line.split(" ") for line in filled.splitlines()]
+    assert [(int(k), text) for k, text, _ in lines] == list(enumerate(texts))
+    digits = [int(digit) for _, _, digit in lines]
     assert digits == [classify_text(text, 50) for text in texts]
     assert set(digits[11_111:]) == {1, 2, 3, 4}
-    assert borel_digits([], 50) == []
+    assert reals._fill("", 50) == ""
 
 
 def test_budget_refinement_is_monotone():
@@ -390,3 +392,24 @@ def test_every_member_up_to_seven_characters_is_reported_at_its_line(language):
         seen += count
     assert seen == lines[-1]
     assert zeros == seen - len(members)
+
+
+@pytest.mark.parametrize("tail", [1, 3])
+def test_no_report_piece_holds_more_than_one_group(monkeypatch, tail):
+    monkeypatch.setattr(reals, "GROUP_TAIL", tail)
+    size = 10**tail
+    short = (10 ** (tail + 2) - 1) // 9 - 1  # the lines of strings shorter than tail + 2
+    # Inside the short lines, at their end, on a group boundary and mid-group.
+    for prefix in (short // 2, short, short + 3 * size, short + 3 * size + size // 2):
+        counts = [piece.count("\n") for piece in reals.borel_report(prefix, 10)]
+        assert sum(counts) == prefix
+        assert max(counts) <= size
+
+
+def test_short_lines_that_hold_members_are_filled(monkeypatch):
+    # With 4-character tails, every string of up to 5 characters is written
+    # line by line, and the first members ("H(0)." on line 13,846) are such.
+    monkeypatch.setattr(reals, "GROUP_TAIL", 4)
+    lines = zip(range(1, 14_048), borel_strings())
+    want = "".join(f"{k} {text} {classify_text(text, 10)}\n" for k, text in lines)
+    assert "".join(reals.borel_report(14_047, 10)) == want
