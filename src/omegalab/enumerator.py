@@ -34,8 +34,9 @@ import marshal
 import os
 import sys
 import tempfile
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 from .vm import Halted, InvalidProgram, _is_bits, _length_lex, _record, decode, programs, run
 
@@ -43,6 +44,7 @@ CHECKPOINT_MAGIC = "OMEGALAB v1"
 SCAN_CHUNK = 1 << 15  # strings of one length per unit of scan work
 _TAIL_BITS = 8  # a scanned string is a formatted head plus one of these tails
 _TAILS = tuple(format(i, f"0{_TAIL_BITS}b") for i in range(1 << _TAIL_BITS))
+_LINES_PIECE = 1 << 13  # characters of checkpoint text that load splits at once, at least
 
 
 @_record
@@ -204,7 +206,10 @@ def refine(state: EnumState, new_budget: int) -> EnumState:
 
 
 def extend(state: EnumState, max_len: int, budget: int, workers: int = 1) -> EnumState:
-    """Grow a state to (max_len, budget); equals a fresh enumeration there."""
+    """Grow a state to (max_len, budget); equals a fresh enumeration there.
+
+    The state joins the sets the scan returns, and each is frozen once.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if max_len < state.max_len_done:
@@ -216,34 +221,38 @@ def extend(state: EnumState, max_len: int, budget: int, workers: int = 1) -> Enu
     records, pending = _scan_lengths(
         range(state.max_len_done + 1, max_len + 1), budget, workers
     )
-    return EnumState(
-        max_len,
-        budget,
-        state.records | frozenset(records),
-        state.pending | frozenset(pending),
-    )
+    records.update(state.records)
+    pending.update(state.pending)
+    return EnumState(max_len, budget, frozenset(records), frozenset(pending))
 
 
-def _canonical_lines(state: EnumState) -> list[str]:
-    lines = [CHECKPOINT_MAGIC]
-    for rec in sorted(state.records, key=lambda r: _length_lex(r.program)):
-        lines.append(f"H {rec.program} {rec.output or '-'} {rec.steps}")
+def _canonical_lines(state: EnumState) -> Iterator[str]:
+    """The checkpoint of `state`, one newline-terminated line at a time."""
+    yield CHECKPOINT_MAGIC + "\n"
+    # Length-lex order as a sort by program, then a stable one by length:
+    # no key tuple is built per record.
+    records = sorted(state.records, key=attrgetter("program"))
+    records.sort(key=lambda r: len(r.program))
+    for rec in records:
+        yield f"H {rec.program} {rec.output or '-'} {rec.steps}\n"
     for bits in sorted(state.pending, key=_length_lex):
-        lines.append(f"P {bits}")
-    lines.append(f"FRONTIER {state.max_len_done} {state.budget}")
-    return lines
+        yield f"P {bits}\n"
+    yield f"FRONTIER {state.max_len_done} {state.budget}\n"
 
 
 def save(state: EnumState, destination: str | Path) -> None:
-    """Write a canonical checkpoint atomically (temp file, then rename)."""
+    """Write a canonical checkpoint atomically (temp file, then rename).
+
+    The lines go to the temp file as they are formatted: neither a list of
+    them nor the whole text is ever held.
+    """
     destination = Path(destination)
-    text = "\n".join(_canonical_lines(state)) + "\n"
     fd, tmp_name = tempfile.mkstemp(
         dir=destination.parent, prefix=destination.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(_canonical_lines(state))
         os.replace(tmp_name, destination)
     except BaseException:
         try:
@@ -251,6 +260,22 @@ def save(state: EnumState, destination: str | Path) -> None:
         except OSError:
             pass
         raise
+
+
+def _lines(text: str) -> Iterator[str]:
+    """`text.splitlines()`, about 8 KiB of text at a time.
+
+    Each piece ends just after a newline (or at the end of the text) and
+    is split by `str.splitlines` on its own, so the other line boundaries
+    it knows (form feed, vertical tab, the file and group separators, a
+    lone carriage return) split lines here too, and no list of all the
+    lines is built.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINES_PIECE) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def load(source: str | Path) -> EnumState:
@@ -263,14 +288,21 @@ def load(source: str | Path) -> EnumState:
     must be listed: the smallest missing one is named at the trailer. The
     offending line is named. The records are compared with `vm.programs`,
     so a valid checkpoint is never decoded; H outputs and steps are not re-run.
+
+    The file is read as ASCII text in one piece, so an undecodable byte is
+    reported before any line is parsed. Its lines, split as by
+    `str.splitlines`, are then parsed one at a time and dropped, and the
+    map of listed programs is dropped before the records' frozenset is
+    built: the census is held once, not as lines, maps and sets together.
     """
-    lines = Path(source).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+    lines = _lines(Path(source).read_text(encoding="ascii"))
+    if next(lines, None) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"line 1: expected header {CHECKPOINT_MAGIC!r}")
     records: dict[str, HaltRecord] = {}
     listed: dict[str, int] = {}  # every H or P program -> its line, in file order
     frontier: tuple[int, int] | None = None
-    for num, line in enumerate(lines[1:], start=2):
+    num = trailer = 1
+    for num, line in enumerate(lines, start=2):
         if frontier is not None:
             raise CheckpointError(f"line {num}: content after FRONTIER trailer")
         fields = line.split(" ")
@@ -289,7 +321,7 @@ def load(source: str | Path) -> EnumState:
         elif kind == "FRONTIER":
             if len(fields) != 3 or not fields[1].isdigit() or not fields[2].isdigit():
                 raise CheckpointError(f"line {num}: malformed FRONTIER trailer")
-            frontier = (int(fields[1]), int(fields[2]))
+            frontier, trailer = (int(fields[1]), int(fields[2])), num
             continue
         else:
             raise CheckpointError(f"line {num}: unknown record type {kind!r}")
@@ -300,7 +332,7 @@ def load(source: str | Path) -> EnumState:
         if kind == "H":
             records[program] = HaltRecord(program, "" if output == "-" else output, int(fields[3]))
     if frontier is None:
-        raise CheckpointError(f"line {len(lines) + 1}: missing FRONTIER trailer")
+        raise CheckpointError(f"line {num + 1}: missing FRONTIER trailer")
     max_len, budget = frontier
     for program, num in listed.items():
         if len(program) > max_len:
@@ -332,7 +364,8 @@ def load(source: str | Path) -> EnumState:
                 raise CheckpointError(f"line {num}: {program} is not a program ({exc})") from exc
     if missing is not None:
         raise CheckpointError(
-            f"line {len(lines)}: FRONTIER length {max_len} but program {missing} is not listed"
+            f"line {trailer}: FRONTIER length {max_len} but program {missing} is not listed"
         )
-    pending = listed.keys() - records.keys()
-    return EnumState(max_len, budget, frozenset(records.values()), frozenset(pending))
+    pending = frozenset(program for program in listed if program not in records)
+    del listed
+    return EnumState(max_len, budget, frozenset(records.values()), pending)

@@ -10,7 +10,10 @@ syntactically valid shorter program. The theory's size N is eight bits
 per character of its canonical serialization; elegance_frontier pairs
 that N with the largest program size provably elegant, which is the
 desk-scale face of the incompleteness trend. It indexes the theory once
-and walks the grammar once, whatever the number of goals it tries.
+and walks the grammar once, whatever the number of goals it tries, and
+decides each goal by counting the shorter programs that block it: one
+with neither a loops nor an outputs fact blocks every goal, and one whose
+outputs facts all state s blocks the goals that print s.
 
 Constructing Theory(...) directly skips certification. That backdoor
 exists for tests that need deliberately unsound theories; real theories
@@ -239,6 +242,23 @@ def _index(theory: Theory, goals: Iterable[str]) -> _Index:
     )
 
 
+def _blocks(index: _Index, q: str) -> str | bool:
+    """Which ELEGANT-INTRO goals the shorter program q leaves unproven.
+
+    q is settled for a goal printing s by its loops fact, or else by an
+    outputs fact whose output differs from s. So q blocks no goal (False)
+    when it has a loops fact or two outputs facts that differ, every goal
+    (True) when it has neither kind of fact, and otherwise exactly the
+    goals printing the one output its outputs facts state (that output).
+    """
+    if q in index.loops:
+        return False
+    outputs = {f.output for f in index.outputs.get(q, ())}
+    if len(outputs) > 1:
+        return False
+    return outputs.pop() if outputs else True
+
+
 def _derive(index: _Index, goal: Statement) -> Proof | Unprovable:
     """The inference rules, applied to one goal over an indexed theory."""
     if goal in index.facts:
@@ -254,13 +274,13 @@ def _derive(index: _Index, goal: Statement) -> Proof | Unprovable:
     # A shorter program's premise is its loops fact, else its first
     # outputs fact (in theory order) whose output differs from p's.
     for q in index.shorter[: bisect_left(index.shorter, len(p), key=len)]:
-        side = index.loops.get(q)
-        if side is None:
-            side = next((f for f in index.outputs.get(q, ()) if f.output != base.output), None)
-        if side is None:
+        blocked = _blocks(index, q)
+        if blocked is True or blocked == base.output:
             missing.append(q)
+        elif q in index.loops:
+            premises.append(index.loops[q])
         else:
-            premises.append(side)
+            premises.append(next(f for f in index.outputs[q] if f.output != base.output))
     if missing:
         return Unprovable(goal, tuple(missing))
     return Proof(goal, "ELEGANT-INTRO", tuple(premises))
@@ -336,17 +356,33 @@ def elegance_frontier(theory: Theory) -> FrontierReport:
 
     Goals are tried in length-lex order over the programs that carry an
     outputs fact; nothing else can satisfy ELEGANT-INTRO, so the scan is
-    finite. Every goal is decided by the rules `prove` applies, over one
-    index of the theory and one grammar walk up to the longest goal.
+    finite. Each goal is decided by the rules `prove` applies, without
+    building its proof: a goal is a FACT, or ELEGANT-INTRO proves it
+    exactly when no shorter program blocks it (`_blocks`). The shorter
+    programs are counted once, in one grammar walk up to the longest
+    goal, as they fall below each goal's length: how many block every
+    goal, and how many block the goals of each output. So the frontier is
+    linear in the theory and the shorter programs, not in their product.
     Adding facts never shrinks the frontier.
     """
     candidates = sorted({f.program for f in theory.facts if f.kind == "outputs"}, key=_length_lex)
     index = _index(theory, candidates)
-    proven = tuple(
-        p for p in candidates if isinstance(_derive(index, Statement("elegant", p)), Proof)
-    )
+    blocking: dict[str | bool, int] = {}  # _blocks value -> shorter programs with it
+    counted = 0  # index.shorter[:counted] is in `blocking`
+    proven = []
+    for p in candidates:
+        below = bisect_left(index.shorter, len(p), key=len)
+        for q in index.shorter[counted:below]:
+            blocked = _blocks(index, q)
+            blocking[blocked] = blocking.get(blocked, 0) + 1
+        counted = below
+        output = index.outputs[p][0].output
+        if Statement("elegant", p) in index.facts or not (
+            blocking.get(True) or blocking.get(output)
+        ):
+            proven.append(p)
     frontier = max((len(p) for p in proven), default=0)
-    return FrontierReport(theory.size_bits, frontier, proven)
+    return FrontierReport(theory.size_bits, frontier, tuple(proven))
 
 
 def parse_theory_text(text: str) -> tuple[Statement, ...]:

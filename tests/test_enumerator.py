@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,29 @@ def test_save_writes_canonical_bytes(tmp_path):
     assert path.read_text() == EXPECTED_5_100
 
 
+def canonical_text(max_len, budget):
+    """A census checkpoint written out from the naive machine's census."""
+    halted, pending = naive_census(max_len, budget)
+    order = lambda p: (len(p), p)
+    return "".join(
+        [f"{CHECKPOINT_MAGIC}\n"]
+        + [f"H {p} {halted[p][0] or '-'} {halted[p][1]}\n" for p in sorted(halted, key=order)]
+        + [f"P {p}\n" for p in sorted(pending, key=order)]
+        + [f"FRONTIER {max_len} {budget}\n"]
+    )
+
+
+def test_save_writes_the_canonical_text_of_a_12_bit_census(tmp_path):
+    expected = canonical_text(12, 100)
+    assert "\nP " in expected  # both kinds of record are written
+    fresh, resumed, middle = (tmp_path / name for name in ("fresh.ck", "resumed.ck", "middle.ck"))
+    save(enumerate_programs(12, 100), fresh)
+    assert fresh.read_text() == expected
+    save(enumerate_programs(10, 10), middle)
+    save(extend(load(middle), 12, 100), resumed)
+    assert resumed.read_text() == expected
+
+
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "census.ck"
     for state in (enumerate_programs(0, 5), enumerate_programs(10, 30)):
@@ -187,9 +211,11 @@ def test_load_names_offending_line(tmp_path):
 
 def test_load_rejects_missing_trailer(tmp_path):
     path = tmp_path / "bad.ck"
-    path.write_text(f"{CHECKPOINT_MAGIC}\nH 1 - 0\n")
-    with pytest.raises(CheckpointError, match="missing FRONTIER"):
-        load(path)
+    for text, line in [(f"{CHECKPOINT_MAGIC}\nH 1 - 0\n", 3), (f"{CHECKPOINT_MAGIC}", 2)]:
+        path.write_text(text)
+        with pytest.raises(CheckpointError) as caught:
+            load(path)
+        assert str(caught.value) == f"line {line}: missing FRONTIER trailer"
 
 
 def test_load_rejects_content_after_trailer(tmp_path):
@@ -197,6 +223,56 @@ def test_load_rejects_content_after_trailer(tmp_path):
     path.write_text(f"{CHECKPOINT_MAGIC}\nFRONTIER 1 1\nH 1 - 0\n")
     with pytest.raises(CheckpointError, match="line 3"):
         load(path)
+
+
+def test_load_rejects_a_blank_line_after_the_trailer(tmp_path):
+    path = tmp_path / "bad.ck"
+    path.write_text(EXPECTED_5_100 + "\n")
+    with pytest.raises(CheckpointError) as caught:
+        load(path)
+    assert str(caught.value) == "line 7: content after FRONTIER trailer"
+
+
+def test_load_reads_crlf_lines(tmp_path):
+    path = tmp_path / "census.ck"
+    path.write_bytes(EXPECTED_5_100.replace("\n", "\r\n").encode("ascii"))
+    assert load(path) == enumerate_programs(5, 100)
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 7, 1 << 13])
+def test_lines_are_splitlines_piece_by_piece(monkeypatch, tmp_path, piece):
+    # load splits its text in pieces that end after a newline; whatever
+    # the piece size, the lines are those of str.splitlines.
+    monkeypatch.setattr(enumerator, "_LINES_PIECE", piece)
+    rng = random.Random(piece)
+    alphabet = ["0", "1", " ", "\n", "\n", "\r", "\r\n", "\f", "\v", "\x1c", "\x1d", "\x1e"]
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(16)))
+        assert list(enumerator._lines(text)) == text.splitlines(), repr(text)
+    path = tmp_path / "census.ck"
+    state = enumerate_programs(10, 30)
+    save(state, path)
+    assert load(path) == state
+
+
+def test_load_splits_lines_as_splitlines_does(tmp_path):
+    # A form feed (or vertical tab) ends a line for str.splitlines: a
+    # census with one between two records still loads, and one inside a
+    # record cuts it, so the line numbers after it move down by one.
+    path = tmp_path / "census.ck"
+    for separator in ("\f", "\v", "\x1c"):
+        path.write_text(EXPECTED_5_100.replace("H 1 - 0\n", f"H 1 - 0{separator}", 1))
+        assert load(path) == enumerate_programs(5, 100)
+    cut = EXPECTED_5_100.replace("H 01000 - 1", "H 01\f000 - 1")
+    assert cut.splitlines()[2:4] == ["H 01", "000 - 1"]
+    path.write_text(cut)
+    with pytest.raises(CheckpointError) as caught:
+        load(path)
+    assert str(caught.value) == "line 3: malformed H record"
+    path.write_text(EXPECTED_5_100.replace("FRONTIER", "H 1 - 0\fFRONTIER"))
+    with pytest.raises(CheckpointError) as caught:
+        load(path)
+    assert str(caught.value) == "line 6: program 1 listed twice"
 
 
 def test_load_rejects_unknown_record(tmp_path):

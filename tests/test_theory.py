@@ -433,6 +433,20 @@ def test_frontier_goal_length_cap():
     assert report.frontier == max(len(p) for p in report.proven) == 5
 
 
+def test_frontier_proves_what_prove_proves_on_a_13_bit_theory():
+    # The theory of every valid program of up to 13 bits: the frontier
+    # counts blockers, and each goal it proves is one `prove` proves.
+    theory = theory_for_programs(shorter_valid_programs(14))
+    report = elegance_frontier(theory)
+    candidates = sorted(
+        {f.program for f in theory.facts if f.kind == "outputs"}, key=lambda p: (len(p), p)
+    )
+    assert report.proven == tuple(
+        p for p in candidates if isinstance(prove(theory, Statement("elegant", p)), Proof)
+    )
+    assert (len(theory.facts), report.frontier, len(report.proven)) == (498, 13, 31)
+
+
 # --- frontier against a literal oracle ------------------------------------------
 
 ORACLE_MAX_LEN = 10
