@@ -244,7 +244,8 @@ def save(state: EnumState, destination: str | Path) -> None:
     """Write a canonical checkpoint atomically (temp file, then rename).
 
     The lines go to the temp file as they are formatted: neither a list of
-    them nor the whole text is ever held.
+    them nor the whole text is ever held. The checkpoint keeps the mode of the
+    file it replaces; a new one gets 0o666 less the umask, as open() gives.
     """
     destination = Path(destination)
     fd, tmp_name = tempfile.mkstemp(
@@ -252,6 +253,13 @@ def save(state: EnumState, destination: str | Path) -> None:
     )
     try:
         with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
+            try:
+                mode = os.stat(destination).st_mode & 0o7777
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            os.fchmod(fd, mode)
             fh.writelines(_canonical_lines(state))
         os.replace(tmp_name, destination)
     except BaseException:

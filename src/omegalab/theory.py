@@ -22,9 +22,8 @@ come from Theory.certified, theory_for_programs, or load_theory.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import Counter
 from pathlib import Path
-from typing import Iterable
 
 from .vm import (
     Halted,
@@ -220,26 +219,16 @@ class _Index:
     facts: frozenset[Statement]
     outputs: dict[str, list[Statement]]  # each program's outputs facts, in theory order
     loops: dict[str, Statement]  # each program's loops fact
-    shorter: list[str]  # valid programs shorter than the longest goal, length-lex
 
 
-def _index(theory: Theory, goals: Iterable[str]) -> _Index:
-    """Index `theory` for proving (elegant p) for p in `goals`.
-
-    The grammar is walked once, up to the longest goal with an outputs
-    fact: no other goal reaches the side condition of ELEGANT-INTRO.
-    """
+def _index(theory: Theory) -> _Index:
+    """The theory's facts, indexed once; each decider walks the grammar itself."""
     outputs: dict[str, list[Statement]] = {}
     for f in theory.facts:
         if f.kind == "outputs":
             outputs.setdefault(f.program, []).append(f)
-    longest = max((len(p) for p in goals if p in outputs), default=0)
-    return _Index(
-        frozenset(theory.facts),
-        outputs,
-        {f.program: f for f in theory.facts if f.kind == "loops"},
-        shorter_valid_programs(longest),
-    )
+    loops = {f.program: f for f in theory.facts if f.kind == "loops"}
+    return _Index(frozenset(theory.facts), outputs, loops)
 
 
 def _blocks(index: _Index, q: str) -> str | bool:
@@ -259,8 +248,18 @@ def _blocks(index: _Index, q: str) -> str | bool:
     return outputs.pop() if outputs else True
 
 
-def _derive(index: _Index, goal: Statement) -> Proof | Unprovable:
-    """The inference rules, applied to one goal over an indexed theory."""
+def prove(theory: Theory, goal: Statement) -> Proof | Unprovable:
+    """Derive `goal` from the theory, deterministically.
+
+    Facts are theorems outright. ELEGANT-INTRO: from (outputs p s) and,
+    for every valid program q shorter than p, either (loops q) or
+    (outputs q s_q) with s_q != s, conclude (elegant p). An Unprovable
+    elegance goal lists the shorter programs whose classification is
+    missing (including p itself when it has no outputs fact). The
+    theory's facts are indexed once, and the grammar is walked at most
+    once, below the goal's length.
+    """
+    index = _index(theory)
     if goal in index.facts:
         return Proof(goal, "FACT", ())
     if goal.kind != "elegant":
@@ -273,7 +272,7 @@ def _derive(index: _Index, goal: Statement) -> Proof | Unprovable:
     missing: list[str] = []
     # A shorter program's premise is its loops fact, else its first
     # outputs fact (in theory order) whose output differs from p's.
-    for q in index.shorter[: bisect_left(index.shorter, len(p), key=len)]:
+    for q in shorter_valid_programs(len(p)):
         blocked = _blocks(index, q)
         if blocked is True or blocked == base.output:
             missing.append(q)
@@ -284,20 +283,6 @@ def _derive(index: _Index, goal: Statement) -> Proof | Unprovable:
     if missing:
         return Unprovable(goal, tuple(missing))
     return Proof(goal, "ELEGANT-INTRO", tuple(premises))
-
-
-def prove(theory: Theory, goal: Statement) -> Proof | Unprovable:
-    """Derive `goal` from the theory, deterministically.
-
-    Facts are theorems outright. ELEGANT-INTRO: from (outputs p s) and,
-    for every valid program q shorter than p, either (loops q) or
-    (outputs q s_q) with s_q != s, conclude (elegant p). An Unprovable
-    elegance goal lists the shorter programs whose classification is
-    missing (including p itself when it has no outputs fact). The
-    theory's facts are indexed once, and the grammar is walked at most
-    once, below the goal's length.
-    """
-    return _derive(_index(theory, (goal.program,) if goal.kind == "elegant" else ()), goal)
 
 
 @_record
@@ -358,28 +343,25 @@ def elegance_frontier(theory: Theory) -> FrontierReport:
     outputs fact; nothing else can satisfy ELEGANT-INTRO, so the scan is
     finite. Each goal is decided by the rules `prove` applies, without
     building its proof: a goal is a FACT, or ELEGANT-INTRO proves it
-    exactly when no shorter program blocks it (`_blocks`). The shorter
-    programs are counted once, in one grammar walk up to the longest
-    goal, as they fall below each goal's length: how many block every
-    goal, and how many block the goals of each output. So the frontier is
-    linear in the theory and the shorter programs, not in their product.
+    exactly when no shorter program blocks it (`_blocks`). The programs of
+    each length are counted once, the first time a goal that long needs
+    them: how many block every goal, and how many block the goals of each
+    output. So the frontier is linear in the theory and the shorter
+    programs, not in their product.
     Adding facts never shrinks the frontier.
     """
     candidates = sorted({f.program for f in theory.facts if f.kind == "outputs"}, key=_length_lex)
-    index = _index(theory, candidates)
-    blocking: dict[str | bool, int] = {}  # _blocks value -> shorter programs with it
-    counted = 0  # index.shorter[:counted] is in `blocking`
+    index = _index(theory)
+    blocking: Counter[str | bool] = Counter()  # _blocks value -> shorter programs with it
+    counted = 1  # the programs shorter than `counted` bits are in `blocking`
     proven = []
     for p in candidates:
-        below = bisect_left(index.shorter, len(p), key=len)
-        for q in index.shorter[counted:below]:
-            blocked = _blocks(index, q)
-            blocking[blocked] = blocking.get(blocked, 0) + 1
-        counted = below
+        for n in range(counted, len(p)):
+            for q in programs(n):
+                blocking[_blocks(index, q)] += 1
+        counted = len(p)
         output = index.outputs[p][0].output
-        if Statement("elegant", p) in index.facts or not (
-            blocking.get(True) or blocking.get(output)
-        ):
+        if Statement("elegant", p) in index.facts or not (blocking[True] or blocking[output]):
             proven.append(p)
     frontier = max((len(p) for p in proven), default=0)
     return FrontierReport(theory.size_bits, frontier, tuple(proven))

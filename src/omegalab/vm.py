@@ -270,16 +270,6 @@ def decode(bits: str) -> Program:
     return Program(bits, tuple(instructions))
 
 
-def encode_instructions(instructions: tuple[Instruction, ...]) -> str:
-    """The program bits of an instruction tuple: the inverse of `decode`."""
-    parts = [gamma_encode(len(instructions) + 1)]
-    for ins in instructions:
-        parts.append(ins.op.value)
-        if ins.op in _JUMPS:
-            parts.append(gamma_encode(_zigzag(ins.offset) + 1))
-    return "".join(parts)
-
-
 def assemble(instructions) -> Program:
     """Build a Program from an instruction list, to write programs by instruction.
 
@@ -287,7 +277,12 @@ def assemble(instructions) -> Program:
     any instruction tuple.
     """
     instructions = tuple(instructions)
-    return Program(encode_instructions(instructions), instructions)
+    parts = [gamma_encode(len(instructions) + 1)]
+    for ins in instructions:
+        parts.append(ins.op.value)
+        if ins.op in _JUMPS:
+            parts.append(gamma_encode(_zigzag(ins.offset) + 1))
+    return Program("".join(parts), instructions)
 
 
 # Compiled opcodes, grouped so the step loop dispatches on ranges of small

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from omegalab.elegant import compression_report, find_elegant
+from omegalab import elegant
+from omegalab.elegant import ElegantVerdict, compression_report, find_elegant
 from omegalab.vm import Halted, literal_program, run
 
 from naive_vm import all_strings_upto, naive_run
@@ -120,3 +121,19 @@ def test_compression_finds_the_minimal_producer():
     assert report.best_program == "01001"
     assert report.best_bits == 5
     assert report.ratio == 1
+
+
+def test_compression_takes_the_first_shorter_witness(monkeypatch):
+    # No short program beats the literal program of its output, so a
+    # stand-in search reports two shorter producers of "0101".
+    calls = []
+
+    def fake_find_elegant(target, max_len, budget):
+        calls.append((target, max_len, budget))
+        return ElegantVerdict(target, ("01000", "01001"), True, (max_len, budget))
+
+    monkeypatch.setattr(elegant, "find_elegant", fake_find_elegant)
+    report = compression_report("0101", 20, 100)
+    assert calls == [("0101", 12, 100)]  # below the 13-bit literal program
+    assert (report.best_program, report.best_bits, report.baseline_bits) == ("01000", 5, 13)
+    assert report.ratio == Fraction(5, 13)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from omegalab import enumerator
+from omegalab.cli import main
 from omegalab.enumerator import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -175,6 +176,23 @@ def test_save_leaves_no_temp_files(tmp_path):
     path = tmp_path / "census.ck"
     save(enumerate_programs(3, 10), path)
     save(enumerate_programs(5, 10), path)  # overwrite goes through rename
+    assert [p.name for p in tmp_path.iterdir()] == ["census.ck"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_a_checkpoint_gets_the_mode_open_gives_and_keeps_it(tmp_path, umask, mode):
+    path = tmp_path / "census.ck"
+    old_umask = os.umask(umask)
+    try:
+        assert main(["enumerate", "--max-len", "3", "--budget", "5", "--checkpoint", str(path)]) == 0
+        assert path.stat().st_mode & 0o777 == mode
+        path.chmod(0o640)
+        argv = ["enumerate", "--max-len", "5", "--budget", "5", "--checkpoint", str(path)]
+        assert main([*argv, "--resume"]) == 0
+    finally:
+        os.umask(old_umask)
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert load(path) == enumerate_programs(5, 5)
     assert [p.name for p in tmp_path.iterdir()] == ["census.ck"]
 
 

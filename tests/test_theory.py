@@ -447,6 +447,22 @@ def test_frontier_proves_what_prove_proves_on_a_13_bit_theory():
     assert (len(theory.facts), report.frontier, len(report.proven)) == (498, 13, 31)
 
 
+def test_the_prover_walks_each_shorter_length_once(monkeypatch):
+    theory = theory_for_programs(shorter_valid_programs(14))
+    walked = []
+    programs = theory_module.programs
+    monkeypatch.setattr(theory_module, "programs", lambda n: walked.append(n) or programs(n))
+    elegance_frontier(theory)
+    assert walked == list(range(1, 13))
+    walked.clear()
+    assert isinstance(prove(theory, Statement("elegant", "01001")), Proof)
+    assert walked == [1, 2, 3, 4]
+    walked.clear()
+    assert isinstance(prove(theory, Statement("halts", "01001")), Proof)
+    assert isinstance(prove(theory, Statement("elegant", "0101110010")), Unprovable)  # it loops
+    assert walked == []
+
+
 # --- frontier against a literal oracle ------------------------------------------
 
 ORACLE_MAX_LEN = 10

@@ -17,7 +17,6 @@ from omegalab.vm import (
     assemble,
     classify,
     decode,
-    encode_instructions,
     gamma_encode,
     literal_program,
     programs,
@@ -226,7 +225,7 @@ def test_decode_matches_naive_oracle_at_census_lengths():
     def codeword():  # one instruction's bits, cut loose from the header "010"
         op = rng.choice(list(Op))
         offset = rng.randrange(-9, 10) if op in (Op.DJZA, Op.DJZB) else None
-        return encode_instructions((Instruction(op, offset),))[3:]
+        return assemble((Instruction(op, offset),)).bits[3:]
 
     for i in range(20000):
         length = rng.randrange(15, 25)
@@ -267,7 +266,7 @@ def test_valid_set_of_short_strings():
 
 def test_decode_encode_consistency_exhaustive():
     for program in valid_programs(12):
-        assert encode_instructions(program.instructions) == program.bits
+        assert assemble(program.instructions).bits == program.bits
 
 
 def test_assemble_round_trip():
