@@ -2,16 +2,21 @@
 
 Visits every bit string up to a length frontier in length-lexicographic
 order, skips the syntactically invalid ones, and splits the valid programs
-into a halting census and a pending set. Pending programs are kept so a
-later, larger budget only re-runs them (refine) instead of re-scanning the
-whole tree. States checkpoint to a line-oriented ASCII file with atomic
-writes, and scanning may be spread over N = min(workers, chunks) processes,
-the caller included, without changing the result: each length is cut into
-contiguous chunks of at most SCAN_CHUNK strings, and the N processes claim
-them in length order, each taking the next chunk when it is free, so a
-costly stretch of one length is shared among the processes instead of
-falling to one of them. The caller forks the other N - 1; each sends its
-results back over a pipe.
+into a halting census and a pending set. Both are held as tuples in
+length-lex order of program, the checkpoint's own order: every producer
+builds that order as it goes, so nothing is sorted and `save` writes the
+tuples as they are. Pending programs are kept so a later, larger budget
+only re-runs them (refine) instead of re-scanning the whole tree. States
+checkpoint to a line-oriented ASCII file with atomic writes, and `load`
+checks a checkpoint against the grammar with one merge of its records and
+the `vm.programs` walk. Scanning may be spread over N = min(workers,
+chunks) processes, the caller included, without changing the result: each
+length is cut into contiguous chunks of at most SCAN_CHUNK strings, and the
+N processes claim them in length order, each taking the next chunk when it
+is free, so a costly stretch of one length is shared among the processes
+instead of falling to one of them. The caller forks the other N - 1; each
+sends its results back over a pipe, and the caller puts them in chunk
+order.
 
 The scan still calls `run` once on every bit string, and `run` raises
 InvalidProgram for each one that is not a program; it does not walk
@@ -34,7 +39,9 @@ import marshal
 import os
 import sys
 import tempfile
-from operator import attrgetter
+from bisect import insort
+from itertools import pairwise
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
 
@@ -54,12 +61,37 @@ class HaltRecord:
     steps: int
 
 
+_program = attrgetter("program")
+
+
+def _record_key(rec: HaltRecord) -> tuple[int, str]:
+    return _length_lex(rec.program)
+
+
+def _ascending(programs: Iterable[str]) -> bool:
+    """Whether `programs` are strictly increasing in length-lex order."""
+    return all(len(a) < len(b) or len(a) == len(b) and a < b for a, b in pairwise(programs))
+
+
 @_record
 class EnumState:
+    """A census up to `max_len_done` bits at `budget` steps.
+
+    `records` and `pending` are tuples in strictly increasing length-lex
+    order of program, the order a checkpoint lists them in; one linear pass
+    checks that, so no state can make `save` write another order.
+    """
+
     max_len_done: int
     budget: int
-    records: frozenset[HaltRecord]
-    pending: frozenset[str]
+    records: tuple[HaltRecord, ...]
+    pending: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.records, tuple) or not isinstance(self.pending, tuple):
+            raise TypeError("records and pending must be tuples")
+        if not _ascending(map(_program, self.records)) or not _ascending(self.pending):
+            raise ValueError("records and pending must be in strictly increasing length-lex order")
 
 
 class CheckpointError(ValueError):
@@ -92,8 +124,9 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[list[tuple[str, str, i
 
 def _scan_claimed(
     chunks: list[tuple[int, int, int, int]], counter: tuple[int, int]
-) -> list[tuple[list[tuple[str, str, int]], list[str]]]:
-    """Scan each chunk that this process claims, until none is left.
+) -> list[tuple[int, tuple[list[tuple[str, str, int]], list[str]]]]:
+    """Scan each chunk that this process claims, until none is left; each
+    scan comes with the index of its chunk.
 
     `counter` is a pipe that holds the index of the next unclaimed chunk,
     8 bytes, which a process reads and at once writes back one higher. A
@@ -107,7 +140,7 @@ def _scan_claimed(
         os.write(put, (k + 1).to_bytes(8, "big"))
         if k >= len(chunks):
             return results
-        results.append(_scan_chunk(chunks[k]))
+        results.append((k, _scan_chunk(chunks[k])))
 
 
 def _scan_share(
@@ -129,7 +162,14 @@ def _scan_share(
 
 def _scan_lengths(
     lengths: Iterable[int], budget: int, workers: int
-) -> tuple[set[HaltRecord], set[str]]:
+) -> tuple[tuple[HaltRecord, ...], tuple[str, ...]]:
+    """The H records and pending programs of every length in `lengths`
+    (ascending), each in length-lex order.
+
+    The chunks tile the lengths in length-lex order, so the scans, put in
+    chunk order, are joined as they are. Each chunk's list is dropped as
+    soon as its records are built, and equal outputs are stored once.
+    """
     chunks = [
         (length, lo, min(lo + SCAN_CHUNK, 1 << length), budget)
         for length in lengths
@@ -155,18 +195,24 @@ def _scan_lengths(
             with os.fdopen(read_end, "rb") as pipe:
                 sent = pipe.read()
             shares.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), sent))
+            del sent  # `shares` alone holds it, and drops it once it is loaded
         for end in counter:
             os.close(end)
-    for pid, status, sent in shares:
+    for pid, status, _ in shares:
         if status != 0:
             raise RuntimeError(f"census scan process {pid} exited with status {status}")
-        results.extend(marshal.loads(sent))
-    records: set[HaltRecord] = set()
-    pending: set[str] = set()
-    for recs, pend in results:
-        records.update(HaltRecord(*r) for r in recs)
-        pending.update(pend)
-    return records, pending
+    while shares:
+        results.extend(marshal.loads(shares.pop()[2]))
+    results.sort(key=itemgetter(0), reverse=True)  # popped from the end in chunk order
+    pending = tuple(bits for _, (_, pend) in reversed(results) for bits in pend)
+    outputs: dict[str, str] = {}
+
+    def halted() -> Iterator[HaltRecord]:
+        while results:
+            for bits, output, steps in results.pop()[1][0]:
+                yield HaltRecord(bits, outputs.setdefault(output, output), steps)
+
+    return tuple(halted()), pending
 
 
 def enumerate_programs(max_len: int, budget: int, workers: int = 1) -> EnumState:
@@ -178,7 +224,7 @@ def enumerate_programs(max_len: int, budget: int, workers: int = 1) -> EnumState
     """
     if max_len < 0 or budget < 0:
         raise ValueError("max_len, budget must be >= 0")
-    return extend(EnumState(0, budget, frozenset(), frozenset()), max_len, budget, workers)
+    return extend(EnumState(0, budget, (), ()), max_len, budget, workers)
 
 
 def refine(state: EnumState, new_budget: int) -> EnumState:
@@ -191,24 +237,27 @@ def refine(state: EnumState, new_budget: int) -> EnumState:
     stops there; only one that never revisits, such as counter growth,
     costs the whole budget. The pending programs are trusted to be
     programs: a loaded checkpoint has been checked against the grammar.
+    The ones that halt now are inserted into the records at their place in
+    length-lex order; the rest stay pending in their order.
     """
     if new_budget <= state.budget:
         raise ValueError(f"new budget {new_budget} must exceed current {state.budget}")
-    records = set(state.records)
-    pending: set[str] = set()
+    records = list(state.records)
+    pending: list[str] = []
     for bits in state.pending:
         outcome = run(bits, new_budget)
         if isinstance(outcome, Halted):
-            records.add(HaltRecord(bits, outcome.output, outcome.steps))
+            insort(records, HaltRecord(bits, outcome.output, outcome.steps), key=_record_key)
         else:
-            pending.add(bits)
-    return EnumState(state.max_len_done, new_budget, frozenset(records), frozenset(pending))
+            pending.append(bits)
+    return EnumState(state.max_len_done, new_budget, tuple(records), tuple(pending))
 
 
 def extend(state: EnumState, max_len: int, budget: int, workers: int = 1) -> EnumState:
     """Grow a state to (max_len, budget); equals a fresh enumeration there.
 
-    The state joins the sets the scan returns, and each is frozen once.
+    The scan's records and pending programs are all longer than the
+    state's, so each tuple is the state's followed by the scan's.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -221,21 +270,15 @@ def extend(state: EnumState, max_len: int, budget: int, workers: int = 1) -> Enu
     records, pending = _scan_lengths(
         range(state.max_len_done + 1, max_len + 1), budget, workers
     )
-    records.update(state.records)
-    pending.update(state.pending)
-    return EnumState(max_len, budget, frozenset(records), frozenset(pending))
+    return EnumState(max_len, budget, state.records + records, state.pending + pending)
 
 
 def _canonical_lines(state: EnumState) -> Iterator[str]:
     """The checkpoint of `state`, one newline-terminated line at a time."""
     yield CHECKPOINT_MAGIC + "\n"
-    # Length-lex order as a sort by program, then a stable one by length:
-    # no key tuple is built per record.
-    records = sorted(state.records, key=attrgetter("program"))
-    records.sort(key=lambda r: len(r.program))
-    for rec in records:
+    for rec in state.records:
         yield f"H {rec.program} {rec.output or '-'} {rec.steps}\n"
-    for bits in sorted(state.pending, key=_length_lex):
+    for bits in state.pending:
         yield f"P {bits}\n"
     yield f"FRONTIER {state.max_len_done} {state.budget}\n"
 
@@ -243,9 +286,11 @@ def _canonical_lines(state: EnumState) -> Iterator[str]:
 def save(state: EnumState, destination: str | Path) -> None:
     """Write a canonical checkpoint atomically (temp file, then rename).
 
-    The lines go to the temp file as they are formatted: neither a list of
-    them nor the whole text is ever held. The checkpoint keeps the mode of the
-    file it replaces; a new one gets 0o666 less the umask, as open() gives.
+    The state's tuples are already in the checkpoint's order, so the lines
+    go to the temp file as they are formatted: nothing is sorted, and
+    neither a list of lines nor the whole text is ever held. The checkpoint
+    keeps the mode of the file it replaces; a new one gets 0o666 less the
+    umask, as open() gives.
     """
     destination = Path(destination)
     fd, tmp_name = tempfile.mkstemp(
@@ -286,6 +331,63 @@ def _lines(text: str) -> Iterator[str]:
         start = end
 
 
+_Listed = tuple[int, str, HaltRecord | None]  # (line, program, its H record or None)
+
+
+def _file_order(
+    records: list[HaltRecord], pending: list[str], kinds: bytearray
+) -> Iterator[_Listed]:
+    """Every H and P line of a checkpoint in file order, from the records
+    and pending programs each in file order and the kinds of the lines
+    (1 for H, 0 for P); the first record is on line 2."""
+    h, p = iter(records), iter(pending)
+    for num, is_h in enumerate(kinds, start=2):
+        if is_h:
+            rec = next(h)
+            yield num, rec.program, rec
+        else:
+            yield num, next(p), None
+
+
+def _reject_repeats(listed: Iterable[_Listed]) -> None:
+    """Raise at the first line that lists a program an earlier line lists."""
+    seen: set[str] = set()
+    for num, program, _ in listed:
+        if program in seen:
+            raise CheckpointError(f"line {num}: program {program} listed twice")
+        seen.add(program)
+
+
+def _reject(
+    listed: list[_Listed], max_len: int, budget: int, trailer: int, missing: str | None
+) -> NoReturn:
+    """Name the first fault of a checkpoint that is known to hold one.
+
+    The faults are looked for in the documented order, each in file order:
+    a program listed twice, a record past the FRONTIER length or budget, a
+    record that is not a program, and last `missing`, the smallest program
+    not listed. Only here are records decoded.
+    """
+    _reject_repeats(listed)
+    for num, program, rec in listed:
+        if len(program) > max_len:
+            raise CheckpointError(
+                f"line {num}: program {program} is longer than the FRONTIER length {max_len}"
+            )
+        if rec is not None and rec.steps > budget:
+            raise CheckpointError(
+                f"line {num}: {rec.steps} steps exceed the FRONTIER budget {budget}"
+            )
+    for num, program, _ in listed:
+        try:
+            decode(program)
+        except InvalidProgram as exc:
+            raise CheckpointError(f"line {num}: {program} is not a program ({exc})") from exc
+    raise CheckpointError(
+        f"line {trailer}: FRONTIER length {max_len} but program {missing} is not listed"
+    )
+
+
 def load(source: str | Path) -> EnumState:
     """Read a checkpoint back, trusted only as a complete census; load(save(s)) == s.
 
@@ -294,86 +396,81 @@ def load(source: str | Path) -> EnumState:
     and no H record with more steps than the frontier budget. Then each
     record must be a program, and every program up to the frontier length
     must be listed: the smallest missing one is named at the trailer. The
-    offending line is named. The records are compared with `vm.programs`,
-    so a valid checkpoint is never decoded; H outputs and steps are not re-run.
+    offending line is named. H outputs and steps are not re-run.
 
     The file is read as ASCII text in one piece, so an undecodable byte is
     reported before any line is parsed. Its lines, split as by
-    `str.splitlines`, are then parsed one at a time and dropped, and the
-    map of listed programs is dropped before the records' frozenset is
-    built: the census is held once, not as lines, maps and sets together.
+    `str.splitlines`, are parsed one at a time into a list of H records and
+    one of P programs, and equal outputs are stored once. Lists out of
+    canonical order are sorted; a canonical file is not. One merge then
+    matches both lists against the `vm.programs` walk, which checks every
+    record and the census's completeness at once, so a valid checkpoint is
+    never decoded. The walk stops at the first program not listed, so a
+    trailer that claims more than the file lists costs no more than the
+    records. Only when a check fails is the file order gone through again,
+    to name the first fault.
     """
     lines = _lines(Path(source).read_text(encoding="ascii"))
     if next(lines, None) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"line 1: expected header {CHECKPOINT_MAGIC!r}")
-    records: dict[str, HaltRecord] = {}
-    listed: dict[str, int] = {}  # every H or P program -> its line, in file order
+    records: list[HaltRecord] = []
+    pending: list[str] = []
+    kinds = bytearray()  # 1 for each H line, 0 for each P line, in file order
+    outputs: dict[str, str] = {}
+
+    def malformed(num: int, message: str) -> NoReturn:
+        _reject_repeats(_file_order(records, pending, kinds))  # an earlier fault comes first
+        raise CheckpointError(f"line {num}: {message}")
+
     frontier: tuple[int, int] | None = None
     num = trailer = 1
     for num, line in enumerate(lines, start=2):
         if frontier is not None:
-            raise CheckpointError(f"line {num}: content after FRONTIER trailer")
+            malformed(num, "content after FRONTIER trailer")
         fields = line.split(" ")
         kind = fields[0]
         if kind == "H":
             if len(fields) != 4 or not fields[1] or not _is_bits(fields[1]):
-                raise CheckpointError(f"line {num}: malformed H record")
+                malformed(num, "malformed H record")
             output = fields[2]
             if not output or (output != "-" and not _is_bits(output)):
-                raise CheckpointError(f"line {num}: malformed output field")
+                malformed(num, "malformed output field")
             if not fields[3].isdigit():
-                raise CheckpointError(f"line {num}: malformed step count")
+                malformed(num, "malformed step count")
+            output = "" if output == "-" else outputs.setdefault(output, output)
+            records.append(HaltRecord(fields[1], output, int(fields[3])))
         elif kind == "P":
             if len(fields) != 2 or not fields[1] or not _is_bits(fields[1]):
-                raise CheckpointError(f"line {num}: malformed P record")
+                malformed(num, "malformed P record")
+            pending.append(fields[1])
         elif kind == "FRONTIER":
             if len(fields) != 3 or not fields[1].isdigit() or not fields[2].isdigit():
-                raise CheckpointError(f"line {num}: malformed FRONTIER trailer")
+                malformed(num, "malformed FRONTIER trailer")
             frontier, trailer = (int(fields[1]), int(fields[2])), num
             continue
         else:
-            raise CheckpointError(f"line {num}: unknown record type {kind!r}")
-        program = fields[1]
-        if program in listed:
-            raise CheckpointError(f"line {num}: program {program} listed twice")
-        listed[program] = num
-        if kind == "H":
-            records[program] = HaltRecord(program, "" if output == "-" else output, int(fields[3]))
+            malformed(num, f"unknown record type {kind!r}")
+        kinds.append(kind == "H")
     if frontier is None:
-        raise CheckpointError(f"line {num + 1}: missing FRONTIER trailer")
+        malformed(num + 1, "missing FRONTIER trailer")
     max_len, budget = frontier
-    for program, num in listed.items():
-        if len(program) > max_len:
-            raise CheckpointError(
-                f"line {num}: program {program} is longer than the FRONTIER length {max_len}"
-            )
-        if program in records and records[program].steps > budget:
-            raise CheckpointError(
-                f"line {num}: {records[program].steps} steps exceed the FRONTIER budget {budget}"
-            )
-    # Tick off the programs in length-lex order up to the first one not
-    # listed, so a trailer that claims more than the file lists costs no
-    # more than the records. The ticks are counted, not kept: when some
-    # listed program is left unticked, the checkpoint is already known to
-    # be wrong, and only then is every record decoded, in file order. Each
-    # non-program is left unticked, so the first one named is the same.
-    ticked = 0
-    for missing in (p for n in range(1, max_len + 1) for p in programs(n)):
-        if missing not in listed:
-            break
-        ticked += 1
-    else:
-        missing = None
-    if ticked < len(listed):
-        for program, num in listed.items():
-            try:
-                decode(program)
-            except InvalidProgram as exc:
-                raise CheckpointError(f"line {num}: {program} is not a program ({exc})") from exc
-    if missing is not None:
-        raise CheckpointError(
-            f"line {trailer}: FRONTIER length {max_len} but program {missing} is not listed"
-        )
-    pending = frozenset(program for program in listed if program not in records)
-    del listed
-    return EnumState(max_len, budget, frozenset(records.values()), pending)
+    # The file-order lists are kept beside sorted copies until the census
+    # is accepted. A record past the FRONTIER length is left unmatched by
+    # the walk, but one past its budget has to be looked for.
+    halts = records if _ascending(map(_program, records)) else sorted(records, key=_record_key)
+    runs = pending if _ascending(pending) else sorted(pending, key=_length_lex)
+    missing = None
+    if max(map(attrgetter("steps"), halts), default=0) <= budget:
+        h = p = 0
+        for missing in (q for n in range(1, max_len + 1) for q in programs(n)):
+            if h < len(halts) and halts[h].program == missing:
+                h += 1
+            elif p < len(runs) and runs[p] == missing:
+                p += 1
+            else:
+                break
+        else:
+            missing = None
+        if missing is None and h + p == len(halts) + len(runs):
+            return EnumState(max_len, budget, tuple(halts), tuple(runs))
+    _reject(list(_file_order(records, pending, kinds)), max_len, budget, trailer, missing)

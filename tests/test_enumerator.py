@@ -35,21 +35,21 @@ FRONTIER 5 100
 
 def test_enumerate_small_census():
     state = enumerate_programs(5, 100)
-    assert {r.program for r in state.records} == {"1", "01000", "01001", "01010"}
+    assert [r.program for r in state.records] == ["1", "01000", "01001", "01010"]
     assert {r.output for r in state.records} == {"", "0", "1"}
-    assert state.pending == frozenset()
+    assert state.pending == ()
     assert state.max_len_done == 5 and state.budget == 100
 
 
 def test_enumerate_length_one():
     state = enumerate_programs(1, 100)
-    assert state.records == frozenset({HaltRecord("1", "", 0)})
-    assert state.pending == frozenset()
+    assert state.records == (HaltRecord("1", "", 0),)
+    assert state.pending == ()
 
 
 def test_enumerate_nothing():
     state = enumerate_programs(0, 100)
-    assert state.records == frozenset() and state.pending == frozenset()
+    assert state.records == () and state.pending == ()
 
 
 def test_enumerate_rejects_bad_arguments():
@@ -73,8 +73,8 @@ def test_census_matches_naive_scan():
 
 def test_records_monotone_in_length_and_budget():
     base = enumerate_programs(8, 50)
-    assert base.records <= enumerate_programs(10, 50).records
-    assert base.records <= enumerate_programs(8, 500).records
+    assert set(base.records) <= set(enumerate_programs(10, 50).records)
+    assert set(base.records) <= set(enumerate_programs(8, 500).records)
 
 
 def test_refine_equals_fresh_enumeration():
@@ -86,7 +86,7 @@ def test_refine_with_empty_pending_only_bumps_budget():
     state = enumerate_programs(5, 100)
     refined = refine(state, 200)
     assert refined.records == state.records
-    assert refined.pending == frozenset()
+    assert refined.pending == ()
     assert refined.budget == 200
 
 
@@ -319,6 +319,13 @@ def test_load_rejects_program_listed_twice(tmp_path, first, second):
         ("H 0100 - 11", "line 3: 11 steps exceed the FRONTIER budget 10"),
         ("H 0100 - 11\nP 01001", "line 3: 11 steps"),  # the first of two is named
         ("P 01001\nH 0100 - 11", "line 3: program 01001 is longer"),
+        ("H 01001 0 1\nP 0100000", "line 3: program 01001 is longer"),
+        ("P 0100000\nH 01001 0 1", "line 3: program 0100000 is longer"),
+        ("H 0100 - 12\nH 01001 0 11", "line 3: 12 steps exceed"),
+        # A program listed twice is named first, wherever it is.
+        ("H 1 - 0\nP 01001", "line 3: program 1 listed twice"),
+        ("P 01001\nH 1 - 0", "line 4: program 1 listed twice"),
+        ("H 0100 - 11\nP 0100", "line 4: program 0100 listed twice"),
     ],
 )
 def test_load_rejects_records_past_the_frontier(tmp_path, records, message):
@@ -571,5 +578,102 @@ def test_scan_chunks_tile_each_length_in_order(monkeypatch):
 
 def test_state_equality_is_structural():
     a = enumerate_programs(5, 100)
-    b = EnumState(5, 100, a.records, a.pending)
+    records = ("1", "", 0), ("01000", "", 1), ("01001", "0", 1), ("01010", "1", 1)
+    b = EnumState(5, 100, tuple(HaltRecord(*r) for r in records), ())
     assert a == b
+
+
+def census_tuples(max_len, budget):
+    """The naive machine's census as an EnumState's two canonical tuples."""
+    halted, pending = naive_census(max_len, budget)
+    order = lambda p: (len(p), p)
+    records = tuple(HaltRecord(p, *halted[p]) for p in sorted(halted, key=order))
+    return records, tuple(sorted(pending, key=order))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_every_worker_count_builds_the_canonical_tuples(monkeypatch, workers):
+    # Chunks of 7 strings: many per length, claimed by the processes in turn.
+    monkeypatch.setattr(enumerator, "SCAN_CHUNK", 7)
+    state = enumerate_programs(10, 100, workers=workers)
+    assert (state.records, state.pending) == census_tuples(10, 100)
+
+
+def test_extend_inserts_what_refine_halts_between_the_records():
+    base = enumerate_programs(8, 1)
+    state = extend(base, 10, 100)
+    assert (state.records, state.pending) == census_tuples(10, 100)
+    programs = [r.program for r in state.records]
+    halted_now = [programs.index(p) for p in base.pending if p in programs]
+    kept = [programs.index(r.program) for r in base.records]
+    # Pending programs halt at the larger budget, and land before records
+    # the base state already held.
+    assert halted_now and min(halted_now) < max(kept)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_load_sorts_a_shuffled_checkpoint(tmp_path, newline):
+    path = tmp_path / "census.ck"
+    expected = canonical_text(10, 100)
+    head, *records, trailer = expected.splitlines()
+    rng = random.Random(23)
+    rng.shuffle(records)
+    kinds = [line[0] for line in records]
+    assert "H" in kinds[kinds.index("P"):]  # H and P lines interleave
+    path.write_bytes(newline.join([head, *records, trailer, ""]).encode("ascii"))
+    state = load(path)
+    assert (state.records, state.pending) == census_tuples(10, 100)
+    assert state == enumerate_programs(10, 100)
+    save(state, path)
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize(
+    "records, pending",
+    [
+        ((HaltRecord("01000", "", 1), HaltRecord("1", "", 0)), ()),  # longer first
+        ((HaltRecord("01001", "0", 1), HaltRecord("01000", "", 1)), ()),  # same length
+        ((HaltRecord("1", "", 0), HaltRecord("1", "", 0)), ()),  # a duplicate
+        ((), ("0101110010", "0101110001")),
+        ((), ("0101110010", "0101110010")),
+    ],
+)
+def test_a_state_takes_only_strictly_ascending_tuples(records, pending):
+    with pytest.raises(ValueError, match="strictly increasing length-lex order"):
+        EnumState(10, 100, records, pending)
+
+
+def test_a_state_takes_only_tuples():
+    record = HaltRecord("1", "", 0)
+    with pytest.raises(TypeError, match="must be tuples"):
+        EnumState(1, 10, frozenset({record}), ())
+    with pytest.raises(TypeError, match="must be tuples"):
+        EnumState(1, 10, [record], ())
+    with pytest.raises(TypeError, match="must be tuples"):
+        EnumState(1, 10, (record,), frozenset())
+
+
+# (the lines after the header, the message): files with two faults, where
+# the documented order names one of them. More are among the records past
+# the frontier above.
+TWO_FAULTS = [
+    # A duplicate comes before a malformed line after it ...
+    ("H 1 - 0\nP 01000\nH 1 - 0\nH zz - 1\nFRONTIER 5 10", "line 4: program 1 listed twice"),
+    ("H 1 - 0\nH 1 - 0\nFRONTIER 5 10\nP 01000", "line 3: program 1 listed twice"),
+    ("H 1 - 0\nH 1 - 0", "line 3: program 1 listed twice"),  # no trailer
+    # ... but not before a malformed line before it.
+    ("H 1 - 0\nH zz - 1\nH 1 - 0\nFRONTIER 5 10", "line 3: malformed H record"),
+    # A non-program comes before a missing program, and the first of two
+    # in file order is named.
+    ("H 1 - 0\nH 01000 - 1\nP 0101\nFRONTIER 5 10", "line 4: 0101 is not a program"),
+    ("P 0110\nH 1 - 0\nP 0101\nFRONTIER 5 10", "line 2: 0110 is not a program"),
+]
+
+
+@pytest.mark.parametrize("lines, message", TWO_FAULTS)
+def test_load_names_the_first_of_two_faults(tmp_path, lines, message):
+    path = tmp_path / "bad.ck"
+    path.write_text(f"{CHECKPOINT_MAGIC}\n{lines}\n")
+    with pytest.raises(CheckpointError) as caught:
+        load(path)
+    assert str(caught.value).startswith(message)

@@ -37,8 +37,8 @@ RECORDS = [
         {
             "max_len_done": 1,
             "budget": 10,
-            "records": frozenset({HaltRecord("1", "", 0)}),
-            "pending": frozenset(),
+            "records": (HaltRecord("1", "", 0),),
+            "pending": (),
         },
         2,
     ),
