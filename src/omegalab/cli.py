@@ -147,6 +147,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     workers = _worker_count(args.workers)
     checkpoint = Path(args.checkpoint)
+    state = enumerator.EnumState(0, args.budget, (), ())
     if args.resume and checkpoint.exists():
         state = _read(args.checkpoint, enumerator.load, enumerator.CheckpointError)
         if args.max_len < state.max_len_done or args.budget < state.budget:
@@ -154,21 +155,20 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 f"cannot resume below the saved frontier "
                 f"(len<={state.max_len_done}, budget {state.budget})"
             )
-        state = enumerator.extend(state, args.max_len, args.budget, workers)
-    else:
-        state = enumerator.enumerate_programs(args.max_len, args.budget, workers)
+    # The scan goes to the checkpoint chunk by chunk; only a resumed census is held.
+    census = enumerator.Extension(state, args.max_len, args.budget, workers)
     try:
-        enumerator.save(state, checkpoint)
+        enumerator.save(census, checkpoint)
     except OSError as exc:
         # strerror alone: the OS message names a temporary file with a random name
         raise UsageError(f"cannot write {checkpoint}: {exc.strerror or exc}") from exc
-    scanned = 2 ** (state.max_len_done + 1) - 2
-    valid = len(state.records) + len(state.pending)
+    scanned = 2 ** (census.max_len_done + 1) - 2
+    valid = census.n_halting + len(census.pending)
     _emit(
         [
-            f"ENUMERATED len<={state.max_len_done} budget={state.budget}"
+            f"ENUMERATED len<={census.max_len_done} budget={census.budget}"
             f" scanned={scanned} invalid={scanned - valid}"
-            f" halting={len(state.records)} pending={len(state.pending)}"
+            f" halting={census.n_halting} pending={len(census.pending)}"
         ]
     )
     return EXIT_OK
@@ -177,9 +177,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_omega(args: argparse.Namespace) -> int:
     from . import enumerator, omega
 
-    state = _read(args.checkpoint, enumerator.load, enumerator.CheckpointError)
-    bound = omega.from_state(state)
-    _emit([omega.format_report(bound, len(state.records), len(state.pending), args.bits)])
+    tally = _read(args.checkpoint, enumerator.tally, enumerator.CheckpointError)
+    bound = omega.from_tally(tally)
+    _emit([omega.format_report(bound, sum(tally.halting), tally.pending, args.bits)])
     return EXIT_OK
 
 

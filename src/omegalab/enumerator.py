@@ -18,6 +18,23 @@ instead of falling to one of them. The caller forks the other N - 1; each
 sends its results back over a pipe, and the caller puts them in chunk
 order.
 
+The census streams. Each chunk's scan waits as its H lines, formatted by
+the process that scanned it and several times smaller than its records,
+and its pending programs; a child sends its chunks down the pipe in that
+form. An `Extension` is a scanned census not yet collected: `save` writes
+each chunk's H lines as they are, in turn, after the H records of the
+state it extends, and `extend` parses them back into an EnumState, so the
+CLI and the library share one producer and one writer. No list of
+records is built beyond one chunk's, which is why chunks are small.
+`tally` counts a checkpoint without holding its records: it reads a file
+in the canonical form `save` writes twice, a line at a time. The first
+read takes the P list and the trailer; the second matches the H lines and
+the P list with the walk, by the merge `load` uses, and counts the
+halting programs of each length. A file that is not ASCII, not in that
+form (shuffled lines, CRLF or other line breaks, no final newline),
+faulty, or different on its second read goes to `load` instead, which
+reads it whole and names any fault.
+
 The scan still calls `run` once on every bit string, and `run` raises
 InvalidProgram for each one that is not a program; it does not walk
 `vm.programs`. The benchmark's traced census (`check_trace` in
@@ -40,7 +57,8 @@ import os
 import sys
 import tempfile
 from bisect import insort
-from itertools import pairwise
+from collections import Counter
+from itertools import chain, islice, pairwise
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NoReturn
@@ -48,7 +66,7 @@ from typing import Iterable, Iterator, NoReturn
 from .vm import Halted, InvalidProgram, _is_bits, _length_lex, _record, decode, programs, run
 
 CHECKPOINT_MAGIC = "OMEGALAB v1"
-SCAN_CHUNK = 1 << 15  # strings of one length per unit of scan work
+SCAN_CHUNK = 1 << 11  # strings of one length per unit of scan work, and per records list
 _TAIL_BITS = 8  # a scanned string is a formatted head plus one of these tails
 _TAILS = tuple(format(i, f"0{_TAIL_BITS}b") for i in range(1 << _TAIL_BITS))
 _LINES_PIECE = 1 << 13  # characters of checkpoint text that load splits at once, at least
@@ -122,11 +140,19 @@ def _scan_chunk(args: tuple[int, int, int, int]) -> tuple[list[tuple[str, str, i
     return records, pending
 
 
+_Scan = tuple[str, list[str]]  # a chunk's H lines, as a checkpoint has them, and pending programs
+
+
+def _h_line(program: str, output: str, steps: int) -> str:
+    return f"H {program} {output or '-'} {steps}\n"
+
+
 def _scan_claimed(
     chunks: list[tuple[int, int, int, int]], counter: tuple[int, int]
-) -> list[tuple[int, tuple[list[tuple[str, str, int]], list[str]]]]:
+) -> list[tuple[int, str, list[str]]]:
     """Scan each chunk that this process claims, until none is left; each
-    scan comes with the index of its chunk.
+    scan comes with the index of its chunk, its records already formatted
+    as H lines, several times smaller than the records.
 
     `counter` is a pipe that holds the index of the next unclaimed chunk,
     8 bytes, which a process reads and at once writes back one higher. A
@@ -140,7 +166,9 @@ def _scan_claimed(
         os.write(put, (k + 1).to_bytes(8, "big"))
         if k >= len(chunks):
             return results
-        results.append((k, _scan_chunk(chunks[k])))
+        records, pending = _scan_chunk(chunks[k])
+        results.append((k, "".join([_h_line(*rec) for rec in records]), pending))
+        del records  # not alive beside the next chunk's
 
 
 def _scan_share(
@@ -160,15 +188,12 @@ def _scan_share(
         os._exit(status)  # never back into the caller's frames
 
 
-def _scan_lengths(
-    lengths: Iterable[int], budget: int, workers: int
-) -> tuple[tuple[HaltRecord, ...], tuple[str, ...]]:
-    """The H records and pending programs of every length in `lengths`
-    (ascending), each in length-lex order.
+def _scan_lengths(lengths: Iterable[int], budget: int, workers: int) -> list[_Scan]:
+    """The scan of every length in `lengths` (ascending), chunk by chunk.
 
     The chunks tile the lengths in length-lex order, so the scans, put in
-    chunk order, are joined as they are. Each chunk's list is dropped as
-    soon as its records are built, and equal outputs are stored once.
+    chunk order, list the H records and the pending programs each in that
+    order.
     """
     chunks = [
         (length, lo, min(lo + SCAN_CHUNK, 1 << length), budget)
@@ -203,16 +228,34 @@ def _scan_lengths(
             raise RuntimeError(f"census scan process {pid} exited with status {status}")
     while shares:
         results.extend(marshal.loads(shares.pop()[2]))
-    results.sort(key=itemgetter(0), reverse=True)  # popped from the end in chunk order
-    pending = tuple(bits for _, (_, pend) in reversed(results) for bits in pend)
-    outputs: dict[str, str] = {}
+    results.sort(key=itemgetter(0))
+    return [(halting, pending) for _, halting, pending in results]
 
-    def halted() -> Iterator[HaltRecord]:
-        while results:
-            for bits, output, steps in results.pop()[1][0]:
-                yield HaltRecord(bits, outputs.setdefault(output, output), steps)
 
-    return tuple(halted()), pending
+class Extension:
+    """`extend(state, max_len, budget, workers)` before it is collected:
+    a census that `save` writes as it is and `extend` collects.
+
+    Built, it has checked the arguments, refined `state` to `budget` and
+    scanned the new lengths. The census is the refined state's H `records`,
+    then the H lines of each scanned chunk (`chunks`), then the `pending`
+    programs, the state's and the scan's; `n_halting` counts the H records.
+    """
+
+    def __init__(self, state: EnumState, max_len: int, budget: int, workers: int = 1) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if max_len < state.max_len_done:
+            raise ValueError(f"cannot shrink max_len below {state.max_len_done}")
+        if budget < state.budget:
+            raise ValueError(f"cannot lower budget below {state.budget}")
+        if budget > state.budget:
+            state = refine(state, budget)
+        scans = _scan_lengths(range(state.max_len_done + 1, max_len + 1), budget, workers)
+        self.max_len_done, self.budget, self.records = max_len, budget, state.records
+        self.chunks = [halting for halting, _ in scans]
+        self.pending = state.pending + tuple(bits for _, pending in scans for bits in pending)
+        self.n_halting = len(self.records) + sum(chunk.count("\n") for chunk in self.chunks)
 
 
 def enumerate_programs(max_len: int, budget: int, workers: int = 1) -> EnumState:
@@ -256,38 +299,36 @@ def refine(state: EnumState, new_budget: int) -> EnumState:
 def extend(state: EnumState, max_len: int, budget: int, workers: int = 1) -> EnumState:
     """Grow a state to (max_len, budget); equals a fresh enumeration there.
 
-    The scan's records and pending programs are all longer than the
-    state's, so each tuple is the state's followed by the scan's.
+    The Extension, collected: the scan's records and pending programs are
+    all longer than the state's, so each follows the state's.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if max_len < state.max_len_done:
-        raise ValueError(f"cannot shrink max_len below {state.max_len_done}")
-    if budget < state.budget:
-        raise ValueError(f"cannot lower budget below {state.budget}")
-    if budget > state.budget:
-        state = refine(state, budget)
-    records, pending = _scan_lengths(
-        range(state.max_len_done + 1, max_len + 1), budget, workers
-    )
-    return EnumState(max_len, budget, state.records + records, state.pending + pending)
+    census = Extension(state, max_len, budget, workers)
+    records = list(census.records)
+    outputs: dict[str, str] = {}
+    for chunk in census.chunks:
+        records.extend(_halt_record(line.split(" "), outputs) for line in chunk.splitlines())
+    return EnumState(max_len, budget, tuple(records), census.pending)
 
 
-def _canonical_lines(state: EnumState) -> Iterator[str]:
-    """The checkpoint of `state`, one newline-terminated line at a time."""
+def _canonical_lines(census: EnumState | Extension) -> Iterator[str]:
+    """The checkpoint of `census`, a newline-terminated line, or a scanned
+    chunk's H lines, at a time."""
     yield CHECKPOINT_MAGIC + "\n"
-    for rec in state.records:
-        yield f"H {rec.program} {rec.output or '-'} {rec.steps}\n"
-    for bits in state.pending:
+    for rec in census.records:
+        yield _h_line(rec.program, rec.output, rec.steps)
+    if isinstance(census, Extension):
+        yield from census.chunks
+    for bits in census.pending:
         yield f"P {bits}\n"
-    yield f"FRONTIER {state.max_len_done} {state.budget}\n"
+    yield f"FRONTIER {census.max_len_done} {census.budget}\n"
 
 
-def save(state: EnumState, destination: str | Path) -> None:
+def save(state: EnumState | Extension, destination: str | Path) -> None:
     """Write a canonical checkpoint atomically (temp file, then rename).
 
-    The state's tuples are already in the checkpoint's order, so the lines
-    go to the temp file as they are formatted: nothing is sorted, and
+    The records and pending programs of an EnumState, and the scanned
+    chunks of an Extension, are already in the checkpoint's order, so the
+    lines go to the temp file as they are formatted: nothing is sorted, and
     neither a list of lines nor the whole text is ever held. The checkpoint
     keeps the mode of the file it replaces; a new one gets 0o666 less the
     umask, as open() gives.
@@ -388,6 +429,58 @@ def _reject(
     )
 
 
+def _malformed(fields: list[str]) -> str | None:
+    """What `load` says is wrong with the fields of a line after the
+    header, or None for a well-formed H, P or FRONTIER line."""
+    kind = fields[0]
+    if kind == "H":
+        if len(fields) != 4 or not fields[1] or not _is_bits(fields[1]):
+            return "malformed H record"
+        output = fields[2]
+        if not output or (output != "-" and not _is_bits(output)):
+            return "malformed output field"
+        if not fields[3].isdigit():
+            return "malformed step count"
+    elif kind == "P":
+        if len(fields) != 2 or not fields[1] or not _is_bits(fields[1]):
+            return "malformed P record"
+    elif kind == "FRONTIER":
+        if len(fields) != 3 or not fields[1].isdigit() or not fields[2].isdigit():
+            return "malformed FRONTIER trailer"
+    else:
+        return f"unknown record type {kind!r}"
+    return None
+
+
+def _halt_record(fields: list[str], outputs: dict[str, str]) -> HaltRecord:
+    """The record of a well-formed H line's fields; equal outputs are
+    stored once, in `outputs`."""
+    output = fields[2]
+    output = "" if output == "-" else outputs.setdefault(output, output)
+    return HaltRecord(fields[1], output, int(fields[3]))
+
+
+def _merge(halting: Iterator[str], pending: Iterator[str], max_len: int) -> tuple[bool, str | None]:
+    """Match two streams of programs, each in length-lex order, with the
+    `vm.programs` walk up to `max_len` bits, in one pass.
+
+    Returns whether every program of the walk is the next of one stream and
+    neither stream has any left, and the first program of the walk that
+    neither lists next (None if there is none). The walk stops at that
+    program, so a trailer that claims more than the streams list costs no
+    more than the records.
+    """
+    h, p = next(halting, None), next(pending, None)
+    for program in chain.from_iterable(map(programs, range(1, max_len + 1))):
+        if program == h:
+            h = next(halting, None)
+        elif program == p:
+            p = next(pending, None)
+        else:
+            return False, program
+    return h is None and p is None, None
+
+
 def load(source: str | Path) -> EnumState:
     """Read a checkpoint back, trusted only as a complete census; load(save(s)) == s.
 
@@ -405,10 +498,8 @@ def load(source: str | Path) -> EnumState:
     canonical order are sorted; a canonical file is not. One merge then
     matches both lists against the `vm.programs` walk, which checks every
     record and the census's completeness at once, so a valid checkpoint is
-    never decoded. The walk stops at the first program not listed, so a
-    trailer that claims more than the file lists costs no more than the
-    records. Only when a check fails is the file order gone through again,
-    to name the first fault.
+    never decoded. Only when a check fails is the file order gone through
+    again, to name the first fault.
     """
     lines = _lines(Path(source).read_text(encoding="ascii"))
     if next(lines, None) != CHECKPOINT_MAGIC:
@@ -428,28 +519,16 @@ def load(source: str | Path) -> EnumState:
         if frontier is not None:
             malformed(num, "content after FRONTIER trailer")
         fields = line.split(" ")
+        if (message := _malformed(fields)) is not None:
+            malformed(num, message)
         kind = fields[0]
         if kind == "H":
-            if len(fields) != 4 or not fields[1] or not _is_bits(fields[1]):
-                malformed(num, "malformed H record")
-            output = fields[2]
-            if not output or (output != "-" and not _is_bits(output)):
-                malformed(num, "malformed output field")
-            if not fields[3].isdigit():
-                malformed(num, "malformed step count")
-            output = "" if output == "-" else outputs.setdefault(output, output)
-            records.append(HaltRecord(fields[1], output, int(fields[3])))
+            records.append(_halt_record(fields, outputs))
         elif kind == "P":
-            if len(fields) != 2 or not fields[1] or not _is_bits(fields[1]):
-                malformed(num, "malformed P record")
             pending.append(fields[1])
-        elif kind == "FRONTIER":
-            if len(fields) != 3 or not fields[1].isdigit() or not fields[2].isdigit():
-                malformed(num, "malformed FRONTIER trailer")
+        else:
             frontier, trailer = (int(fields[1]), int(fields[2])), num
             continue
-        else:
-            malformed(num, f"unknown record type {kind!r}")
         kinds.append(kind == "H")
     if frontier is None:
         malformed(num + 1, "missing FRONTIER trailer")
@@ -461,16 +540,105 @@ def load(source: str | Path) -> EnumState:
     runs = pending if _ascending(pending) else sorted(pending, key=_length_lex)
     missing = None
     if max(map(attrgetter("steps"), halts), default=0) <= budget:
-        h = p = 0
-        for missing in (q for n in range(1, max_len + 1) for q in programs(n)):
-            if h < len(halts) and halts[h].program == missing:
-                h += 1
-            elif p < len(runs) and runs[p] == missing:
-                p += 1
-            else:
-                break
-        else:
-            missing = None
-        if missing is None and h + p == len(halts) + len(runs):
+        accepted, missing = _merge(map(_program, halts), iter(runs), max_len)
+        if accepted:
             return EnumState(max_len, budget, tuple(halts), tuple(runs))
     _reject(list(_file_order(records, pending, kinds)), max_len, budget, trailer, missing)
+
+
+@_record
+class Tally:
+    """A census counted, not held: `halting[k]` halting programs of k bits
+    for k = 0..max_len_done, and `pending` programs still running."""
+
+    max_len_done: int
+    budget: int
+    halting: tuple[int, ...]
+    pending: int
+
+
+class _NotCanonical(Exception):
+    """A checkpoint that `tally` leaves to `load`."""
+
+
+def _canonical_fields(source: str | Path) -> Iterator[list[str]]:
+    """The fields of each line after the header, read one line at a time,
+    of a checkpoint in the form `save` writes: ASCII, and every line a
+    well-formed H, P or FRONTIER line ending in a newline.
+
+    Raises _NotCanonical, UnicodeDecodeError or OSError at the first line
+    or byte that is not in that form. No character a well-formed line may
+    hold ends a line for `str.splitlines`, so `load` splits such a file
+    into these same lines.
+    """
+    with open(source, encoding="ascii", newline="\n") as fh:
+        if fh.readline() != CHECKPOINT_MAGIC + "\n":
+            raise _NotCanonical
+        for line in fh:
+            fields = line[:-1].split(" ")
+            if line[-1] != "\n" or _malformed(fields) is not None:
+                raise _NotCanonical
+            yield fields
+
+
+def _count(source: str | Path) -> tuple[int, int, Counter[int], int]:
+    """(max_len, budget, halting programs per length, pending programs) of
+    a canonical checkpoint that `load` accepts, read twice; _NotCanonical
+    (or what `_canonical_fields` raises) for any other file.
+
+    The first read takes the P list and the trailer, and checks that the H
+    lines come first and the trailer last. The second counts the H lines,
+    checks their steps against the budget, and merges them with the P list
+    against the walk, which checks order, completeness and that each is a
+    program; the rest of the file must be as the first read had it. So
+    nothing of the first read is trusted that the second does not check.
+    """
+    halting_lines = 0
+    pending: list[str] = []
+    trailer: list[str] | None = None
+    for fields in _canonical_fields(source):
+        if trailer is not None or (fields[0] == "H" and pending):
+            raise _NotCanonical
+        if fields[0] == "H":
+            halting_lines += 1
+        elif fields[0] == "P":
+            pending.append(fields[1])
+        else:
+            trailer = fields
+    if trailer is None:
+        raise _NotCanonical
+    max_len, budget = int(trailer[1]), int(trailer[2])
+    per_length: Counter[int] = Counter()
+    lines = _canonical_fields(source)
+
+    def halting() -> Iterator[str]:
+        for fields in islice(lines, halting_lines):
+            if fields[0] != "H" or int(fields[3]) > budget:
+                raise _NotCanonical
+            per_length[len(fields[1])] += 1
+            yield fields[1]
+
+    accepted, _ = _merge(halting(), iter(pending), max_len)
+    if not accepted or any(next(lines, None) != ["P", bits] for bits in pending):
+        raise _NotCanonical
+    if next(lines, None) != trailer or next(lines, None) is not None:
+        raise _NotCanonical
+    return max_len, budget, per_length, len(pending)
+
+
+def tally(source: str | Path) -> Tally:
+    """The census of a checkpoint that `load` accepts, counted: what `load`
+    would give, without holding its records.
+
+    A checkpoint in the canonical form `save` writes is read twice, one
+    line at a time, and only its P list is held. Any other file, and any
+    that `load` rejects, goes to `load`, which reads it whole, so every
+    fault is named as `load` names it.
+    """
+    try:
+        max_len, budget, per_length, pending = _count(source)
+    except (_NotCanonical, UnicodeDecodeError, OSError):
+        state = load(source)
+        max_len, budget, pending = state.max_len_done, state.budget, len(state.pending)
+        per_length = Counter(len(rec.program) for rec in state.records)
+    return Tally(max_len, budget, tuple(per_length[k] for k in range(max_len + 1)), pending)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from typing import Iterable
 
-from .enumerator import EnumState
+from .enumerator import EnumState, Tally
 from .vm import _record
 
 
@@ -19,6 +20,11 @@ from .vm import _record
 class OmegaBound:
     value: Fraction
     source: tuple[int, int]  # (max_len, budget) provenance of the census
+
+
+def _mass(per_length: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of count/2^k over the (k, count) pairs."""
+    return sum((Fraction(count, 2**k) for k, count in per_length), start=Fraction(0))
 
 
 def from_state(state: EnumState) -> OmegaBound:
@@ -31,8 +37,13 @@ def from_state(state: EnumState) -> OmegaBound:
     pairs up to 14 bits) and `test_the_code_is_complete` (mass identity).
     """
     per_length = Counter(len(rec.program) for rec in state.records)
-    value = sum((Fraction(count, 2**k) for k, count in per_length.items()), start=Fraction(0))
-    return OmegaBound(value, (state.max_len_done, state.budget))
+    return OmegaBound(_mass(per_length.items()), (state.max_len_done, state.budget))
+
+
+def from_tally(tally: Tally) -> OmegaBound:
+    """The bound of a counted census, equal to `from_state` of the census
+    it counts: `tally.halting[k]` programs of k bits each add 1/2^k."""
+    return OmegaBound(_mass(enumerate(tally.halting)), (tally.max_len_done, tally.budget))
 
 
 def binary_expansion(bound: OmegaBound, k: int) -> str:

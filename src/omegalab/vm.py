@@ -482,18 +482,22 @@ def programs(length: int) -> Iterator[str]:
         z += 1
     words.sort()
     fits = [[w for w in words if len(w) <= room] for room in range(length + 1)]
-
-    def body(prefix: str, count: int, room: int) -> Iterator[str]:
-        # `count` more codewords in exactly `room` bits; each takes >= 2
-        if count == 0:
-            if room == 0:
-                yield prefix
-        elif room >= 2 * count:
-            for w in fits[room - 2 * (count - 1)]:
-                yield from body(prefix + w, count - 1, room - len(w))
-
     for header in sorted(gamma_encode(m) for m in range(1, length // 2 + 2)):
-        yield from body(header, int(header, 2) - 1, length - len(header))
+        yield from _bodies(fits, header, int(header, 2) - 1, length - len(header))
+
+
+def _bodies(fits: list[list[str]], prefix: str, count: int, room: int) -> Iterator[str]:
+    """`prefix` and then `count` more codewords in exactly `room` bits, each
+    taking >= 2, in lexicographic order; `fits[r]` lists the codewords of at
+    most r bits. A function of its own, not a closure over `fits`: a nested
+    one that calls itself is a reference cycle, which would keep `fits`
+    until the garbage collector runs."""
+    if count == 0:
+        if room == 0:
+            yield prefix
+    elif room >= 2 * count:
+        for w in fits[room - 2 * (count - 1)]:
+            yield from _bodies(fits, prefix + w, count - 1, room - len(w))
 
 
 def literal_program(s: str) -> str:

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,12 +15,15 @@ from omegalab.enumerator import (
     CheckpointError,
     EnumState,
     HaltRecord,
+    Tally,
     enumerate_programs,
     extend,
     load,
     refine,
     save,
+    tally,
 )
+from omegalab.omega import format_report, from_state
 from omegalab.vm import run
 
 from naive_vm import naive_census, naive_reason
@@ -677,3 +682,229 @@ def test_load_names_the_first_of_two_faults(tmp_path, lines, message):
     with pytest.raises(CheckpointError) as caught:
         load(path)
     assert str(caught.value).startswith(message)
+
+
+# --- the streamed census: `enumerate` writes an Extension, `omega` tallies ---
+
+
+def _enumerated(state):
+    """The line `enumerate` prints for a census."""
+    scanned = 2 ** (state.max_len_done + 1) - 2
+    halting, pending = len(state.records), len(state.pending)
+    return (
+        f"ENUMERATED len<={state.max_len_done} budget={state.budget} scanned={scanned}"
+        f" invalid={scanned - halting - pending} halting={halting} pending={pending}\n"
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_enumerate_writes_what_save_of_extend_writes(monkeypatch, tmp_path, capsys, workers):
+    # Chunks of 7 strings: many per length, claimed by the processes in turn.
+    monkeypatch.setattr(enumerator, "SCAN_CHUNK", 7)
+    streamed, collected = tmp_path / "streamed.ck", tmp_path / "collected.ck"
+    w = ("--workers", str(workers))
+    state = extend(EnumState(0, 100, (), ()), 12, 100, workers)
+    save(state, collected)
+    assert main(["enumerate", "--max-len", "12", "--budget", "100", *w,
+                 "--checkpoint", str(streamed)]) == 0
+    assert capsys.readouterr() == (_enumerated(state), "")
+    assert streamed.read_bytes() == collected.read_bytes()
+    for base_budget, budget in [(1, 1), (1, 100), (100, 100)]:
+        save(enumerate_programs(8, base_budget, workers), streamed)
+        state = extend(load(streamed), 12, budget, workers)
+        save(state, collected)
+        assert main(["enumerate", "--max-len", "12", "--budget", str(budget), *w, "--resume",
+                     "--checkpoint", str(streamed)]) == 0
+        assert capsys.readouterr() == (_enumerated(state), "")
+        assert streamed.read_bytes() == collected.read_bytes(), (base_budget, budget)
+
+
+def _omega(capsys, path):
+    code = main(["omega", "--checkpoint", str(path), "--bits", "24"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _report(state):
+    return format_report(from_state(state), len(state.records), len(state.pending), 24) + "\n"
+
+
+@pytest.mark.parametrize("max_len, budget", [(0, 5), (1, 0), (5, 100), (10, 1), (12, 100)])
+def test_omega_reports_what_the_loaded_census_gives(tmp_path, capsys, max_len, budget):
+    path = tmp_path / "census.ck"
+    save(enumerate_programs(max_len, budget), path)
+    assert _omega(capsys, path) == (0, _report(load(path)), "")
+    assert tally(path) == _tally_of(load(path))
+
+
+def _tally_of(state):
+    counts = [0] * (state.max_len_done + 1)
+    for rec in state.records:
+        counts[len(rec.program)] += 1
+    return Tally(state.max_len_done, state.budget, tuple(counts), len(state.pending))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_omega_takes_a_shuffled_checkpoint_through_load(tmp_path, capsys, monkeypatch, newline):
+    path = tmp_path / "census.ck"
+    head, *records, trailer = canonical_text(10, 100).splitlines()
+    random.Random(24).shuffle(records)
+    path.write_bytes(newline.join([head, *records, trailer, ""]).encode("ascii"))
+    loads = []
+    monkeypatch.setattr(enumerator, "load", lambda source: loads.append(source) or load(source))
+    assert _omega(capsys, path) == (0, _report(enumerate_programs(10, 100)), "")
+    assert loads == [str(path)]
+
+
+def test_omega_reads_a_canonical_checkpoint_without_load(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "census.ck"
+    save(enumerate_programs(12, 100), path)
+    monkeypatch.setattr(enumerator, "load", None)  # any call of it would fail
+    assert _omega(capsys, path) == (0, _report(enumerate_programs(12, 100)), "")
+
+
+def _faulty_checkpoints():
+    """(id, text) of checkpoints `load` rejects: every fault of the load
+    tables above, and a one-record forgery of each kind."""
+    cases = {"wrong magic": "OMEGALAB v2\nFRONTIER 0 0\n"}
+    for record, _ in MALFORMED_FIELDS:
+        cases[record] = f"{CHECKPOINT_MAGIC}\nH 1 - 0\n{record}\nFRONTIER 5 100\n"
+    cases["no trailer"] = f"{CHECKPOINT_MAGIC}\nH 1 - 0\n"
+    cases["header only"] = CHECKPOINT_MAGIC
+    cases["after trailer"] = f"{CHECKPOINT_MAGIC}\nFRONTIER 1 1\nH 1 - 0\n"
+    cases["blank after trailer"] = EXPECTED_5_100 + "\n"
+    cases["form feed repeat"] = EXPECTED_5_100.replace("FRONTIER", "H 1 - 0\fFRONTIER")
+    cases["unknown"] = f"{CHECKPOINT_MAGIC}\nQ 101\nFRONTIER 1 1\n"
+    for first, second in [("H 1 - 0", "H 1 0 1"), ("H 1 - 0", "P 1"), ("P 1", "H 1 - 0")]:
+        cases[f"{first}, {second}"] = f"{CHECKPOINT_MAGIC}\n{first}\n{second}\nFRONTIER 5 10\n"
+    for records in ("H 01001 0 1", "P 01001", "H 0100 - 11", "P 01001\nH 0100 - 11"):
+        cases[records] = f"{CHECKPOINT_MAGIC}\nH 1 - 0\n{records}\nFRONTIER 4 10\n"
+    for lines, _ in TWO_FAULTS:
+        cases[lines] = f"{CHECKPOINT_MAGIC}\n{lines}\n"
+    canonical = canonical_text(10, 100)
+    head, *records, trailer = canonical.splitlines()
+    cases["steps over budget"] = canonical.replace("FRONTIER 10 100", "FRONTIER 10 1")
+    cases["frontier too long"] = canonical.replace("FRONTIER 10", "FRONTIER 11")
+    cases["a record missing"] = "\n".join([head, *records[:7], *records[8:], trailer, ""])
+    cases["a record twice"] = "\n".join([head, *records[:8], *records[7:], trailer, ""])
+    cases["not a program"] = canonical.replace("\nH 01000 ", "\nH 11000 ")
+    cases["P twice"] = canonical.replace("P 0101111010\n", "P 0101111010\nP 0101111010\n")
+    return cases
+
+
+FAULTY = _faulty_checkpoints()
+
+
+@pytest.mark.parametrize("text", FAULTY.values(), ids=FAULTY.keys())
+def test_a_faulty_checkpoint_is_refused_as_load_refuses_it(tmp_path, capsys, text):
+    path = tmp_path / "bad.ck"
+    path.write_text(text)
+    with pytest.raises(CheckpointError) as caught:
+        load(path)
+    refusal = (2, "", f"omegalab: error: {path}: {caught.value}\n")
+    assert _omega(capsys, path) == refusal
+    resume = ["enumerate", "--max-len", "12", "--budget", "100", "--resume"]
+    assert main([*resume, "--checkpoint", str(path)]) == 2
+    assert (2, *capsys.readouterr()) == refusal
+    assert path.read_text() == text
+
+
+def test_a_non_ascii_byte_deep_in_a_census_is_named_where_it_is(tmp_path, capsys):
+    path = tmp_path / "census.ck"
+    save(enumerate_programs(16, 1000), path)
+    data = bytearray(path.read_bytes())
+    position = len(data) * 3 // 4
+    data[position] = 0xC3
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as caught:
+        path.read_text(encoding="ascii")
+    message = f"omegalab: error: {path}: {caught.value}\n"
+    assert f"byte 0xc3 in position {position}:" in message
+    assert _omega(capsys, path) == (2, "", message)
+    assert main(["enumerate", "--max-len", "16", "--budget", "1000", "--resume",
+                 "--checkpoint", str(path)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert path.read_bytes() == data
+
+
+def _pending_as_halting(text):
+    """`text` with its first P line made an H line, in canonical order."""
+    head, *records, trailer = text.splitlines()
+    first = next(line for line in records if line.startswith("P "))
+    records[records.index(first)] = f"H {first[2:]} - 0"
+    records.sort(key=lambda line: (line[0] == "P", len(line.split()[1]), line.split()[1]))
+    return "\n".join([head, *records, trailer, ""])
+
+
+SECOND_READS = {
+    "steps over budget": lambda text: text.replace("FRONTIER 10 100", "FRONTIER 10 1"),
+    "a record missing": lambda text: text.replace("H 01000 - 1\n", ""),
+    "an H for a P": _pending_as_halting,
+    "cut short": lambda text: text[: len(text) // 2],
+    "P list changed": lambda text: text.replace("P 0101110010\n", "P 0101110010\nP 01\n"),
+    "content after trailer": lambda text: text + "P 1\n",
+    "another census": lambda text: canonical_text(10, 1000),
+    "a larger census": lambda text: canonical_text(11, 100),
+    "the same census": lambda text: text,
+}
+
+
+@pytest.mark.parametrize("second", SECOND_READS.values(), ids=SECOND_READS.keys())
+def test_a_checkpoint_that_changes_between_reads_is_not_trusted(
+    tmp_path, capsys, monkeypatch, second
+):
+    # The file is rewritten just before omega reads it the second time;
+    # omega must then report on that file as load reads it, or refuse it.
+    path = tmp_path / "census.ck"
+    first = canonical_text(10, 100)
+    assert "\nP 0101110010\n" in first
+    path.write_text(first)
+    reads = []
+    canonical_fields = enumerator._canonical_fields
+
+    def rewritten(source):
+        reads.append(source)
+        if len(reads) == 2:
+            path.write_text(second(first))
+        return canonical_fields(source)
+
+    monkeypatch.setattr(enumerator, "_canonical_fields", rewritten)
+    result = _omega(capsys, path)
+    assert len(reads) == 2
+    try:
+        state = load(path)
+    except CheckpointError as exc:
+        assert result == (2, "", f"omegalab: error: {path}: {exc}\n")
+    else:
+        assert result == (0, _report(state), "")
+
+
+def test_the_census_commands_hold_no_census(tmp_path, capsys):
+    # Beyond what a bare `run` call costs (the CLI's own), enumerate and
+    # omega each peak below half of what load peaks at on the same 16-bit
+    # checkpoint, which is about the census held whole.
+    path = tmp_path / "census.ck"
+    calls = {
+        "run": ["run", "--program", "01001", "--budget", "10"],
+        "enumerate": ["enumerate", "--max-len", "16", "--budget", "1000", "--workers", "1",
+                      "--checkpoint", str(path)],
+        "omega": ["omega", "--checkpoint", str(path)],
+    }
+    for argv in calls.values():  # every import and first use is behind us
+        assert main(argv) == 0
+    load(path)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in [*((n, lambda a=a: main(a)) for n, a in calls.items()),
+                           ("load", lambda: load(path))]:
+            gc.collect()
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    for name in ("enumerate", "omega"):
+        assert peaks[name] - peaks["run"] < peaks["load"] / 2, peaks

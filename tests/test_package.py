@@ -10,9 +10,10 @@ import omegalab
 PUBLIC = {
     "elegant": ("CompressionReport", "ElegantVerdict", "compression_report", "find_elegant"),
     "enumerator": (
-        "EnumState", "HaltRecord", "enumerate_programs", "extend", "load", "refine", "save",
+        "EnumState", "Extension", "HaltRecord", "Tally", "enumerate_programs", "extend", "load",
+        "refine", "save", "tally",
     ),
-    "omega": ("OmegaBound", "binary_expansion", "from_state"),
+    "omega": ("OmegaBound", "binary_expansion", "from_state", "from_tally"),
     "reals": (
         "CoverReport", "DiagonalReal", "DigitStream", "borel_cover", "borel_report",
         "borel_strings", "diagonal", "digit_at",
