@@ -26,14 +26,12 @@ each chunk's H lines as they are, in turn, after the H records of the
 state it extends, and `extend` parses them back into an EnumState, so the
 CLI and the library share one producer and one writer. No list of
 records is built beyond one chunk's, which is why chunks are small.
-`tally` counts a checkpoint without holding its records: it reads a file
-in the canonical form `save` writes twice, a line at a time. The first
-read takes the P list and the trailer; the second matches the H lines and
-the P list with the walk, by the merge `load` uses, and counts the
-halting programs of each length. A file that is not ASCII, not in that
-form (shuffled lines, CRLF or other line breaks, no final newline),
-faulty, or different on its second read goes to `load` instead, which
-reads it whole and names any fault.
+`load` and `tally` share one reader. It opens a checkpoint once and reads
+it twice, a line at a time: the first read takes the P list and the
+trailer, and the second merges the H lines, in length-lex order, and the P
+list with the walk, handing each H record to `load`, which builds it, or
+to `tally`, which counts it. Only a file the reader refuses is read whole,
+to name its first fault.
 
 The scan still calls `run` once on every bit string, and `run` raises
 InvalidProgram for each one that is not a program; it does not walk
@@ -58,10 +56,10 @@ import sys
 import tempfile
 from bisect import insort
 from collections import Counter
-from itertools import chain, islice, pairwise
+from itertools import chain, pairwise
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn, TextIO, TypeVar
 
 from .vm import Halted, InvalidProgram, _is_bits, _length_lex, _record, decode, programs, run
 
@@ -69,7 +67,6 @@ CHECKPOINT_MAGIC = "OMEGALAB v1"
 SCAN_CHUNK = 1 << 11  # strings of one length per unit of scan work, and per records list
 _TAIL_BITS = 8  # a scanned string is a formatted head plus one of these tails
 _TAILS = tuple(format(i, f"0{_TAIL_BITS}b") for i in range(1 << _TAIL_BITS))
-_LINES_PIECE = 1 << 13  # characters of checkpoint text that load splits at once, at least
 
 
 @_record
@@ -356,82 +353,23 @@ def save(state: EnumState | Extension, destination: str | Path) -> None:
         raise
 
 
-def _lines(text: str) -> Iterator[str]:
-    """`text.splitlines()`, about 8 KiB of text at a time.
-
-    Each piece ends just after a newline (or at the end of the text) and
-    is split by `str.splitlines` on its own, so the other line boundaries
-    it knows (form feed, vertical tab, the file and group separators, a
-    lone carriage return) split lines here too, and no list of all the
-    lines is built.
-    """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _LINES_PIECE) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
+def _file_lines(fh: TextIO) -> Iterator[str]:
+    """The lines of a file opened with newline="", as `str.splitlines` splits
+    its whole text: the file's lines end at "\n", "\r\n" or "\r", and are cut
+    again at the other boundaries (form feed, vertical tab, \x1c to \x1e)."""
+    return chain.from_iterable(map(str.splitlines, fh))
 
 
-_Listed = tuple[int, str, HaltRecord | None]  # (line, program, its H record or None)
-
-
-def _file_order(
-    records: list[HaltRecord], pending: list[str], kinds: bytearray
-) -> Iterator[_Listed]:
-    """Every H and P line of a checkpoint in file order, from the records
-    and pending programs each in file order and the kinds of the lines
-    (1 for H, 0 for P); the first record is on line 2."""
-    h, p = iter(records), iter(pending)
-    for num, is_h in enumerate(kinds, start=2):
-        if is_h:
-            rec = next(h)
-            yield num, rec.program, rec
-        else:
-            yield num, next(p), None
-
-
-def _reject_repeats(listed: Iterable[_Listed]) -> None:
-    """Raise at the first line that lists a program an earlier line lists."""
-    seen: set[str] = set()
-    for num, program, _ in listed:
-        if program in seen:
-            raise CheckpointError(f"line {num}: program {program} listed twice")
-        seen.add(program)
-
-
-def _reject(
-    listed: list[_Listed], max_len: int, budget: int, trailer: int, missing: str | None
-) -> NoReturn:
-    """Name the first fault of a checkpoint that is known to hold one.
-
-    The faults are looked for in the documented order, each in file order:
-    a program listed twice, a record past the FRONTIER length or budget, a
-    record that is not a program, and last `missing`, the smallest program
-    not listed. Only here are records decoded.
-    """
-    _reject_repeats(listed)
-    for num, program, rec in listed:
-        if len(program) > max_len:
-            raise CheckpointError(
-                f"line {num}: program {program} is longer than the FRONTIER length {max_len}"
-            )
-        if rec is not None and rec.steps > budget:
-            raise CheckpointError(
-                f"line {num}: {rec.steps} steps exceed the FRONTIER budget {budget}"
-            )
-    for num, program, _ in listed:
-        try:
-            decode(program)
-        except InvalidProgram as exc:
-            raise CheckpointError(f"line {num}: {program} is not a program ({exc})") from exc
-    raise CheckpointError(
-        f"line {trailer}: FRONTIER length {max_len} but program {missing} is not listed"
-    )
+def _is_count(field: str) -> bool:
+    """Whether `field` is digits that `int` converts: no more of them than
+    Python's limit on that conversion (4,300 by default; 0, or none, if
+    there is no limit)."""
+    return field.isdigit() and not 0 < getattr(sys, "get_int_max_str_digits", int)() < len(field)
 
 
 def _malformed(fields: list[str]) -> str | None:
-    """What `load` says is wrong with the fields of a line after the
-    header, or None for a well-formed H, P or FRONTIER line."""
+    """What is wrong with the fields of a checkpoint line after the header,
+    or None for a well-formed H, P or FRONTIER line."""
     kind = fields[0]
     if kind == "H":
         if len(fields) != 4 or not fields[1] or not _is_bits(fields[1]):
@@ -439,13 +377,13 @@ def _malformed(fields: list[str]) -> str | None:
         output = fields[2]
         if not output or (output != "-" and not _is_bits(output)):
             return "malformed output field"
-        if not fields[3].isdigit():
+        if not _is_count(fields[3]):
             return "malformed step count"
     elif kind == "P":
         if len(fields) != 2 or not fields[1] or not _is_bits(fields[1]):
             return "malformed P record"
     elif kind == "FRONTIER":
-        if len(fields) != 3 or not fields[1].isdigit() or not fields[2].isdigit():
+        if len(fields) != 3 or not _is_count(fields[1]) or not _is_count(fields[2]):
             return "malformed FRONTIER trailer"
     else:
         return f"unknown record type {kind!r}"
@@ -460,16 +398,11 @@ def _halt_record(fields: list[str], outputs: dict[str, str]) -> HaltRecord:
     return HaltRecord(fields[1], output, int(fields[3]))
 
 
-def _merge(halting: Iterator[str], pending: Iterator[str], max_len: int) -> tuple[bool, str | None]:
-    """Match two streams of programs, each in length-lex order, with the
-    `vm.programs` walk up to `max_len` bits, in one pass.
-
-    Returns whether every program of the walk is the next of one stream and
-    neither stream has any left, and the first program of the walk that
-    neither lists next (None if there is none). The walk stops at that
-    program, so a trailer that claims more than the streams list costs no
-    more than the records.
-    """
+def _merge(halting: Iterator[str], pending: Iterator[str], max_len: int) -> bool:
+    """Whether two streams of programs in length-lex order list between them
+    each program of the `vm.programs` walk up to `max_len` bits once, and no
+    other. The walk stops at the first program neither lists next, so a
+    trailer that claims more than the streams list costs no more than they."""
     h, p = next(halting, None), next(pending, None)
     for program in chain.from_iterable(map(programs, range(1, max_len + 1))):
         if program == h:
@@ -477,8 +410,147 @@ def _merge(halting: Iterator[str], pending: Iterator[str], max_len: int) -> tupl
         elif program == p:
             p = next(pending, None)
         else:
-            return False, program
-    return h is None and p is None, None
+            return False
+    return h is None and p is None
+
+
+class _Refused(Exception):
+    """What `_stream` raises at the first thing it does not accept."""
+
+
+_T = TypeVar("_T")
+_Adder = Callable[[_T, list[str]], object]
+_Census = tuple[int, int, _T, list[str]]  # (max_len, budget, H lines added up, P list)
+
+
+def _stream(fh: TextIO, new: Callable[[], _T], add: _Adder[_T]) -> _Census[_T]:
+    """The census of a checkpoint read twice, a line at a time, where
+    `add(total, fields)` took each H line's fields, in length-lex order,
+    into `total = new()`; _Refused or UnicodeDecodeError at anything else.
+
+    The first read checks the P lines and the trailer, and takes them and
+    whether the H lines are in order. The second checks each H line's fields
+    and steps and the rest against the first, as the merge takes the H
+    programs (held and sorted if out of order) and the P list.
+    """
+    lines = _file_lines(fh)
+    if next(lines, None) != CHECKPOINT_MAGIC:
+        raise _Refused
+    pending: list[str] = []
+    trailer: list[str] | None = None
+    ordered, last = True, (0, "")
+    for line in lines:
+        fields = line.split(" ")
+        if trailer is not None:
+            raise _Refused
+        if fields[0] == "H" and len(fields) == 4:  # checked whole on the second read
+            key = _length_lex(fields[1])
+            ordered, last = ordered and last < key, key
+        elif _malformed(fields) is not None:
+            raise _Refused
+        elif fields[0] == "P":
+            pending.append(fields[1])
+        else:
+            trailer = fields
+    if trailer is None:
+        raise _Refused
+    max_len, budget = int(trailer[1]), int(trailer[2])
+
+    def second_read() -> Iterator[list[str]]:
+        """The fields of each H line, in file order."""
+        fh.seek(0)
+        lines = _file_lines(fh)
+        expected = iter(pending)
+        if next(lines, None) != CHECKPOINT_MAGIC:
+            raise _Refused
+        fields: list[str] = []
+        for line in lines:
+            fields = line.split(" ")
+            if fields == trailer:
+                break
+            if fields[0] == "P" and fields == ["P", next(expected, None)]:
+                continue
+            if fields[0] != "H" or _malformed(fields) is not None or int(fields[3]) > budget:
+                raise _Refused
+            yield fields
+        if fields != trailer or next(lines, None) is not None or next(expected, None) is not None:
+            raise _Refused
+
+    total = new()
+    held = second_read() if ordered else sorted(second_read(), key=lambda f: _length_lex(f[1]))
+
+    def halting() -> Iterator[str]:
+        for fields in held:
+            add(total, fields)
+            yield fields[1]
+
+    runs = pending if _ascending(pending) else sorted(pending, key=_length_lex)
+    if not _merge(halting(), iter(runs), max_len):
+        raise _Refused
+    return max_len, budget, total, runs
+
+
+def _reject(source: str | Path) -> None:
+    """Name the first fault of a checkpoint read whole, as ASCII text, so a
+    byte that is not ASCII is named at its place; return if there is none.
+    The faults are looked for in the documented order, each in file order:
+    the header; a malformed line, a line after the trailer or a program
+    listed twice, whichever comes first; a missing trailer; a record past
+    the FRONTIER length or budget; a record that is not a program (only
+    here are records decoded); and the smallest program up to the FRONTIER
+    length that no line lists.
+    """
+    lines = Path(source).read_text(encoding="ascii").splitlines()
+    if lines[:1] != [CHECKPOINT_MAGIC]:
+        raise CheckpointError(f"line 1: expected header {CHECKPOINT_MAGIC!r}")
+    listed: list[tuple[int, list[str]]] = []  # (line, fields) of each H and P line
+    seen: set[str] = set()
+    trailer: tuple[int, int, int] | None = None
+    for num, line in enumerate(lines[1:], start=2):
+        fields = line.split(" ")
+        message = _malformed(fields) if trailer is None else "content after FRONTIER trailer"
+        if message is None and fields[0] == "FRONTIER":
+            trailer = num, int(fields[1]), int(fields[2])
+        elif message is None and fields[1] not in seen:
+            seen.add(fields[1])
+            listed.append((num, fields))
+        else:
+            raise CheckpointError(f"line {num}: {message or f'program {fields[1]} listed twice'}")
+    if trailer is None:
+        raise CheckpointError(f"line {len(lines) + 1}: missing FRONTIER trailer")
+    trailer_num, max_len, budget = trailer
+    for num, (kind, program, *rest) in listed:
+        if len(program) > max_len:
+            raise CheckpointError(
+                f"line {num}: program {program} is longer than the FRONTIER length {max_len}"
+            )
+        if kind == "H" and int(rest[1]) > budget:
+            raise CheckpointError(
+                f"line {num}: {int(rest[1])} steps exceed the FRONTIER budget {budget}"
+            )
+    for num, (_, program, *_) in listed:
+        try:
+            decode(program)
+        except InvalidProgram as exc:
+            raise CheckpointError(f"line {num}: {program} is not a program ({exc})") from exc
+    for program in chain.from_iterable(map(programs, range(1, max_len + 1))):
+        if program not in seen:
+            raise CheckpointError(
+                f"line {trailer_num}: FRONTIER length {max_len} but program {program} is not listed"
+            )
+
+
+def _census(source: str | Path, new: Callable[[], _T], add: _Adder[_T]) -> _Census[_T]:
+    """`_stream` of the checkpoint at `source`, or the first fault `_reject`
+    names in it. A file refused with no fault changed between the reads: it
+    is read once more, and refused if it changes again."""
+    for _ in range(2):
+        try:
+            with open(source, encoding="ascii", newline="") as fh:
+                return _stream(fh, new, add)
+        except (_Refused, UnicodeDecodeError):
+            _reject(source)
+    raise CheckpointError("changed each time it was read")
 
 
 def load(source: str | Path) -> EnumState:
@@ -491,59 +563,16 @@ def load(source: str | Path) -> EnumState:
     must be listed: the smallest missing one is named at the trailer. The
     offending line is named. H outputs and steps are not re-run.
 
-    The file is read as ASCII text in one piece, so an undecodable byte is
-    reported before any line is parsed. Its lines, split as by
-    `str.splitlines`, are parsed one at a time into a list of H records and
-    one of P programs, and equal outputs are stored once. Lists out of
-    canonical order are sorted; a canonical file is not. One merge then
-    matches both lists against the `vm.programs` walk, which checks every
-    record and the census's completeness at once, so a valid checkpoint is
-    never decoded. Only when a check fails is the file order gone through
-    again, to name the first fault.
+    The file is read by the reader `tally` uses, twice, a line at a time,
+    and the H records are built in length-lex order as its merge with the
+    walk takes them, so a valid checkpoint is never decoded; equal outputs
+    are stored once. Only a file the reader refuses is read whole.
     """
-    lines = _lines(Path(source).read_text(encoding="ascii"))
-    if next(lines, None) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"line 1: expected header {CHECKPOINT_MAGIC!r}")
-    records: list[HaltRecord] = []
-    pending: list[str] = []
-    kinds = bytearray()  # 1 for each H line, 0 for each P line, in file order
     outputs: dict[str, str] = {}
-
-    def malformed(num: int, message: str) -> NoReturn:
-        _reject_repeats(_file_order(records, pending, kinds))  # an earlier fault comes first
-        raise CheckpointError(f"line {num}: {message}")
-
-    frontier: tuple[int, int] | None = None
-    num = trailer = 1
-    for num, line in enumerate(lines, start=2):
-        if frontier is not None:
-            malformed(num, "content after FRONTIER trailer")
-        fields = line.split(" ")
-        if (message := _malformed(fields)) is not None:
-            malformed(num, message)
-        kind = fields[0]
-        if kind == "H":
-            records.append(_halt_record(fields, outputs))
-        elif kind == "P":
-            pending.append(fields[1])
-        else:
-            frontier, trailer = (int(fields[1]), int(fields[2])), num
-            continue
-        kinds.append(kind == "H")
-    if frontier is None:
-        malformed(num + 1, "missing FRONTIER trailer")
-    max_len, budget = frontier
-    # The file-order lists are kept beside sorted copies until the census
-    # is accepted. A record past the FRONTIER length is left unmatched by
-    # the walk, but one past its budget has to be looked for.
-    halts = records if _ascending(map(_program, records)) else sorted(records, key=_record_key)
-    runs = pending if _ascending(pending) else sorted(pending, key=_length_lex)
-    missing = None
-    if max(map(attrgetter("steps"), halts), default=0) <= budget:
-        accepted, missing = _merge(map(_program, halts), iter(runs), max_len)
-        if accepted:
-            return EnumState(max_len, budget, tuple(halts), tuple(runs))
-    _reject(list(_file_order(records, pending, kinds)), max_len, budget, trailer, missing)
+    max_len, budget, records, pending = _census(
+        source, list, lambda records, fields: records.append(_halt_record(fields, outputs))
+    )
+    return EnumState(max_len, budget, tuple(records), tuple(pending))
 
 
 @_record
@@ -557,88 +586,18 @@ class Tally:
     pending: int
 
 
-class _NotCanonical(Exception):
-    """A checkpoint that `tally` leaves to `load`."""
-
-
-def _canonical_fields(source: str | Path) -> Iterator[list[str]]:
-    """The fields of each line after the header, read one line at a time,
-    of a checkpoint in the form `save` writes: ASCII, and every line a
-    well-formed H, P or FRONTIER line ending in a newline.
-
-    Raises _NotCanonical, UnicodeDecodeError or OSError at the first line
-    or byte that is not in that form. No character a well-formed line may
-    hold ends a line for `str.splitlines`, so `load` splits such a file
-    into these same lines.
-    """
-    with open(source, encoding="ascii", newline="\n") as fh:
-        if fh.readline() != CHECKPOINT_MAGIC + "\n":
-            raise _NotCanonical
-        for line in fh:
-            fields = line[:-1].split(" ")
-            if line[-1] != "\n" or _malformed(fields) is not None:
-                raise _NotCanonical
-            yield fields
-
-
-def _count(source: str | Path) -> tuple[int, int, Counter[int], int]:
-    """(max_len, budget, halting programs per length, pending programs) of
-    a canonical checkpoint that `load` accepts, read twice; _NotCanonical
-    (or what `_canonical_fields` raises) for any other file.
-
-    The first read takes the P list and the trailer, and checks that the H
-    lines come first and the trailer last. The second counts the H lines,
-    checks their steps against the budget, and merges them with the P list
-    against the walk, which checks order, completeness and that each is a
-    program; the rest of the file must be as the first read had it. So
-    nothing of the first read is trusted that the second does not check.
-    """
-    halting_lines = 0
-    pending: list[str] = []
-    trailer: list[str] | None = None
-    for fields in _canonical_fields(source):
-        if trailer is not None or (fields[0] == "H" and pending):
-            raise _NotCanonical
-        if fields[0] == "H":
-            halting_lines += 1
-        elif fields[0] == "P":
-            pending.append(fields[1])
-        else:
-            trailer = fields
-    if trailer is None:
-        raise _NotCanonical
-    max_len, budget = int(trailer[1]), int(trailer[2])
-    per_length: Counter[int] = Counter()
-    lines = _canonical_fields(source)
-
-    def halting() -> Iterator[str]:
-        for fields in islice(lines, halting_lines):
-            if fields[0] != "H" or int(fields[3]) > budget:
-                raise _NotCanonical
-            per_length[len(fields[1])] += 1
-            yield fields[1]
-
-    accepted, _ = _merge(halting(), iter(pending), max_len)
-    if not accepted or any(next(lines, None) != ["P", bits] for bits in pending):
-        raise _NotCanonical
-    if next(lines, None) != trailer or next(lines, None) is not None:
-        raise _NotCanonical
-    return max_len, budget, per_length, len(pending)
+def _count_length(counts: Counter[int], fields: list[str]) -> None:
+    counts[len(fields[1])] += 1
 
 
 def tally(source: str | Path) -> Tally:
     """The census of a checkpoint that `load` accepts, counted: what `load`
     would give, without holding its records.
 
-    A checkpoint in the canonical form `save` writes is read twice, one
-    line at a time, and only its P list is held. Any other file, and any
-    that `load` rejects, goes to `load`, which reads it whole, so every
-    fault is named as `load` names it.
+    The file is read by the reader `load` uses, and the H records are
+    counted by length as the merge takes them; only the P list, and H lines
+    out of length-lex order, are held. A file the reader refuses is read
+    whole, and its first fault named as `load` names it.
     """
-    try:
-        max_len, budget, per_length, pending = _count(source)
-    except (_NotCanonical, UnicodeDecodeError, OSError):
-        state = load(source)
-        max_len, budget, pending = state.max_len_done, state.budget, len(state.pending)
-        per_length = Counter(len(rec.program) for rec in state.records)
-    return Tally(max_len, budget, tuple(per_length[k] for k in range(max_len + 1)), pending)
+    max_len, budget, per_length, pending = _census(source, Counter, _count_length)
+    return Tally(max_len, budget, tuple(per_length[k] for k in range(max_len + 1)), len(pending))

@@ -232,6 +232,25 @@ def test_load_names_offending_line(tmp_path):
         assert (record, str(caught.value)) == (record, f"line 3: {message}")
 
 
+def test_a_count_of_more_digits_than_int_converts_is_malformed(tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("int() converts any number of digits here")
+    path = tmp_path / "census.ck"
+    path.write_text(f"{CHECKPOINT_MAGIC}\nH 1 - {'0' * limit}\nFRONTIER {'1':0>{limit}} 5\n")
+    assert load(path) == enumerate_programs(1, 5)
+    assert tally(path) == Tally(1, 5, (0, 1), 0)
+    for text, message in [
+        (f"H 1 - {'0' * (limit + 1)}\nFRONTIER 1 5", "line 2: malformed step count"),
+        (f"H 1 - 0\nFRONTIER 1 {'5':0>{limit + 1}}", "line 3: malformed FRONTIER trailer"),
+    ]:
+        path.write_text(f"{CHECKPOINT_MAGIC}\n{text}\n")
+        for read in (load, tally):
+            with pytest.raises(CheckpointError) as caught:
+                read(path)
+            assert str(caught.value) == message
+
+
 def test_load_rejects_missing_trailer(tmp_path):
     path = tmp_path / "bad.ck"
     for text, line in [(f"{CHECKPOINT_MAGIC}\nH 1 - 0\n", 3), (f"{CHECKPOINT_MAGIC}", 2)]:
@@ -263,16 +282,19 @@ def test_load_reads_crlf_lines(tmp_path):
 
 
 @pytest.mark.parametrize("piece", [1, 2, 3, 7, 1 << 13])
-def test_lines_are_splitlines_piece_by_piece(monkeypatch, tmp_path, piece):
-    # load splits its text in pieces that end after a newline; whatever
-    # the piece size, the lines are those of str.splitlines.
-    monkeypatch.setattr(enumerator, "_LINES_PIECE", piece)
+def test_lines_are_splitlines_piece_by_piece(tmp_path, piece):
+    # The reader takes the lines a file gives with newline="", each cut
+    # again by str.splitlines; whatever size of piece the file is read in,
+    # the lines are those of str.splitlines on the whole text.
     rng = random.Random(piece)
     alphabet = ["0", "1", " ", "\n", "\n", "\r", "\r\n", "\f", "\v", "\x1c", "\x1d", "\x1e"]
+    path = tmp_path / "lines.txt"
     for _ in range(2000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(16)))
-        assert list(enumerator._lines(text)) == text.splitlines(), repr(text)
-    path = tmp_path / "census.ck"
+        path.write_bytes(text.encode("ascii"))
+        with open(path, encoding="ascii", newline="") as fh:
+            fh._CHUNK_SIZE = piece
+            assert list(enumerator._file_lines(fh)) == text.splitlines(), repr(text)
     state = enumerate_programs(10, 30)
     save(state, path)
     assert load(path) == state
@@ -745,15 +767,13 @@ def _tally_of(state):
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
-def test_omega_takes_a_shuffled_checkpoint_through_load(tmp_path, capsys, monkeypatch, newline):
+def test_omega_takes_a_shuffled_checkpoint(tmp_path, capsys, monkeypatch, newline):
     path = tmp_path / "census.ck"
     head, *records, trailer = canonical_text(10, 100).splitlines()
     random.Random(24).shuffle(records)
     path.write_bytes(newline.join([head, *records, trailer, ""]).encode("ascii"))
-    loads = []
-    monkeypatch.setattr(enumerator, "load", lambda source: loads.append(source) or load(source))
+    monkeypatch.setattr(Path, "read_text", None)  # only a refused file is read whole
     assert _omega(capsys, path) == (0, _report(enumerate_programs(10, 100)), "")
-    assert loads == [str(path)]
 
 
 def test_omega_reads_a_canonical_checkpoint_without_load(tmp_path, capsys, monkeypatch):
@@ -789,6 +809,10 @@ def _faulty_checkpoints():
     cases["a record twice"] = "\n".join([head, *records[:8], *records[7:], trailer, ""])
     cases["not a program"] = canonical.replace("\nH 01000 ", "\nH 11000 ")
     cases["P twice"] = canonical.replace("P 0101111010\n", "P 0101111010\nP 0101111010\n")
+    digits = "9" * 5000  # more than int() converts by default
+    cases["a long step count"] = f"{CHECKPOINT_MAGIC}\nH 1 - {digits}\nFRONTIER 1 5\n"
+    cases["a long FRONTIER length"] = f"{CHECKPOINT_MAGIC}\nH 1 - 0\nFRONTIER {digits} 5\n"
+    cases["a long FRONTIER budget"] = f"{CHECKPOINT_MAGIC}\nH 1 - 0\nFRONTIER 1 {digits}\n"
     return cases
 
 
@@ -860,17 +884,17 @@ def test_a_checkpoint_that_changes_between_reads_is_not_trusted(
     assert "\nP 0101110010\n" in first
     path.write_text(first)
     reads = []
-    canonical_fields = enumerator._canonical_fields
+    file_lines = enumerator._file_lines
 
-    def rewritten(source):
-        reads.append(source)
+    def rewritten(fh):
+        reads.append(fh.tell())
         if len(reads) == 2:
             path.write_text(second(first))
-        return canonical_fields(source)
+        return file_lines(fh)
 
-    monkeypatch.setattr(enumerator, "_canonical_fields", rewritten)
+    monkeypatch.setattr(enumerator, "_file_lines", rewritten)
     result = _omega(capsys, path)
-    assert len(reads) == 2
+    assert reads[:2] == [0, 0]  # the second read starts over, after the rewrite
     try:
         state = load(path)
     except CheckpointError as exc:
@@ -879,18 +903,103 @@ def test_a_checkpoint_that_changes_between_reads_is_not_trusted(
         assert result == (0, _report(state), "")
 
 
+def test_a_checkpoint_that_changes_at_each_second_read_is_refused(tmp_path, capsys, monkeypatch):
+    # Each refused read finds no fault when the file is read whole, so the
+    # file is read once more, and then refused: never read in a loop.
+    path = tmp_path / "census.ck"
+    texts = [canonical_text(10, 100), canonical_text(10, 1000)]
+    path.write_text(texts[0])
+    reads = []
+    file_lines = enumerator._file_lines
+
+    def rewritten(fh):
+        reads.append(fh.tell())
+        if len(reads) % 2 == 0:
+            path.write_text(texts[len(reads) // 2 % 2])
+        return file_lines(fh)
+
+    monkeypatch.setattr(enumerator, "_file_lines", rewritten)
+    message = f"omegalab: error: {path}: changed each time it was read\n"
+    assert _omega(capsys, path) == (2, "", message)
+    assert reads == [0, 0, 0, 0]
+
+
+def _mutant(rng, text):
+    """`text` with up to three random edits (records shuffled, a line
+    dropped, repeated or moved, a bit flipped, a field replaced, a stray
+    line boundary or space), then LF, CRLF or CR line breaks, with or
+    without a final one."""
+    lines = text.splitlines()
+    for _ in range(rng.randrange(4)):
+        if not lines:
+            break
+        i, edit = rng.randrange(len(lines)), rng.randrange(7)
+        line = lines[i]
+        if edit == 0:
+            body = lines[1:-1]
+            rng.shuffle(body)
+            lines[1:-1] = body
+        elif edit == 1:
+            del lines[i]
+        elif edit == 2:
+            lines.insert(rng.randrange(len(lines) + 1), line)
+        elif edit == 3:
+            del lines[i]
+            lines.insert(rng.randrange(len(lines) + 1), line)
+        elif edit == 4 and ("0" in line or "1" in line):
+            j = rng.choice([j for j, c in enumerate(line) if c in "01"])
+            lines[i] = line[:j] + ("1" if line[j] == "0" else "0") + line[j + 1 :]
+        elif edit == 5:
+            fields = line.split(" ")
+            fields[rng.randrange(len(fields))] = rng.choice(["", "x", "2", "-", "0", "99", "H"])
+            lines[i] = " ".join(fields)
+        else:
+            j = rng.randrange(len(line) + 1)
+            lines[i] = line[:j] + rng.choice(["\f", "\v", "\x1c", "\r", " "]) + line[j:]
+    newline = rng.choice(["\n", "\r\n", "\r"])
+    return newline.join(lines) + newline * rng.randrange(2)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except CheckpointError as exc:
+        return str(exc)
+
+
+def test_tally_counts_what_load_reads_of_mutated_checkpoints(tmp_path):
+    # Both go through one reader: each mutant is either counted by tally as
+    # load reads it, or refused by both with the same message.
+    rng = random.Random(25)
+    texts = [canonical_text(8, budget) for budget in (2, 100)]
+    path = tmp_path / "census.ck"
+    accepted = 0
+    for _ in range(1000):
+        path.write_bytes(_mutant(rng, rng.choice(texts)).encode("ascii"))
+        loaded, counted = _outcome(load, path), _outcome(tally, path)
+        if isinstance(loaded, EnumState):
+            accepted += 1
+            loaded = _tally_of(loaded)
+        assert counted == loaded
+    assert 100 < accepted < 900, accepted
+
+
 def test_the_census_commands_hold_no_census(tmp_path, capsys):
     # Beyond what a bare `run` call costs (the CLI's own), enumerate and
     # omega each peak below half of what load peaks at on the same 16-bit
-    # checkpoint, which is about the census held whole.
-    path = tmp_path / "census.ck"
+    # checkpoint, which is about the census held whole; so does omega on a
+    # copy of it with CRLF line breaks.
+    path, crlf = tmp_path / "census.ck", tmp_path / "crlf.ck"
     calls = {
         "run": ["run", "--program", "01001", "--budget", "10"],
         "enumerate": ["enumerate", "--max-len", "16", "--budget", "1000", "--workers", "1",
                       "--checkpoint", str(path)],
         "omega": ["omega", "--checkpoint", str(path)],
+        "omega crlf": ["omega", "--checkpoint", str(crlf)],
     }
-    for argv in calls.values():  # every import and first use is behind us
+    for name, argv in calls.items():  # every import and first use is behind us
+        if name == "omega crlf":
+            crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert main(argv) == 0
     load(path)
     peaks = {}
@@ -906,5 +1015,5 @@ def test_the_census_commands_hold_no_census(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     capsys.readouterr()
-    for name in ("enumerate", "omega"):
+    for name in ("enumerate", "omega", "omega crlf"):
         assert peaks[name] - peaks["run"] < peaks["load"] / 2, peaks
