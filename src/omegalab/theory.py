@@ -7,10 +7,13 @@ machine, so theories built through the normal constructors are sound by
 construction. The single inference rule, ELEGANT-INTRO, derives
 (elegant p) from an outputs fact for p plus a classification of every
 syntactically valid shorter program. The theory's size N is eight bits
-per character of its canonical serialization; elegance_frontier pairs
-that N with the largest program size provably elegant, which is the
-desk-scale face of the incompleteness trend. It indexes the theory once
-and walks the grammar once, whatever the number of goals it tries, and
+per character of its canonical serialization. elegance_frontier pairs
+that N with the largest program size provably elegant: the longest
+program the theory's facts can prove shortest for its output, since every
+shorter program must be classified first. The paper bounds that size by
+N + c, but its argument needs a universal machine, and OMV is not one
+(see "A complete halting decider" in ROADMAP.md). It indexes the theory
+once and walks the grammar once, whatever the number of goals it tries, and
 decides each goal by counting the shorter programs that block it: one
 with neither a loops nor an outputs fact blocks every goal, and one whose
 outputs facts all state s blocks the goals that print s.

@@ -381,27 +381,14 @@ def _advance(
     return _run_machine(code, steps, state, window=None)[3]
 
 
-def _cycle_entry(
-    code: list[tuple[int, int]], period: int, last: int, at_last: tuple[int, int, int]
-) -> tuple[int, tuple[int, int, int]]:
-    """(μ, x_μ): the first step whose state recurs `period` steps later.
-
-    Given that the state `at_last` at step `last` does recur. The pair
-    (x_i, x_{i+λ}) agrees exactly from i = μ on, so bisect over i, moving
-    the pair in lockstep: O(1) states and at most λ + 2·last steps.
-    """
-    lo, x, y = 0, _START, _advance(code, _START, period)
-    if x == y:
-        return 0, x
-    hi = last
-    while hi - lo > 1:  # x = x_lo differs from y = x_{lo+λ}; x_hi recurs
-        mid = (lo + hi) // 2
-        mx, my = _advance(code, x, mid - lo), _advance(code, y, mid - lo)
-        if mx == my:
-            hi, at_last = mid, mx
-        else:
-            lo, x, y = mid, mx, my
-    return hi, at_last
+def _cycle_entry(code: list[tuple[int, int]], period: int) -> tuple[int, tuple[int, int, int]]:
+    """(μ, x_μ): the first step whose state recurs `period` steps later, by
+    Brent's second phase: x from x_0 and y from x_λ step in lockstep until
+    they agree, after μ steps each."""
+    mu, x, y = 0, _START, _advance(code, _START, period)
+    while x != y:
+        mu, x, y = mu + 1, _advance(code, x, 1), _advance(code, y, 1)
+    return mu, x
 
 
 def execute(program: Program, budget: int) -> Halted | Running:
@@ -440,24 +427,23 @@ def classify(bits: str, budget: int) -> Halted | LoopCert | Running:
     revisit makes the deterministic machine repeat forever: a sound
     non-halting certificate. The states x_0, x_1, ... first repeat at step
     μ + λ, where x_μ is the first state on the cycle and λ its length; the
-    certificate is (μ + λ, x_μ). No visited states are kept: Brent's cycle
-    finding sees a revisit at some step >= μ + λ, with λ exact, and a
-    bisection then finds μ. Brent can see it only after the budget while
-    μ + λ <= budget. Then x_budget lies on the cycle and recurs λ <= budget
-    steps later, so when the budget runs out, one more pass of `budget`
-    steps, compared with x_budget, finds λ whenever a certificate is due.
+    certificate is (μ + λ, x_μ). No visited states are kept, in two steps:
+    - The λ found is exact: Brent's cycle finding compares each state with
+      one saved state, and its first match is that state's first recurrence.
+      If the budget runs out first and μ + λ <= budget, x_budget is on the
+      cycle and recurs λ steps later, so one more pass of `budget` steps,
+      compared with x_budget, finds λ whenever a certificate is due.
+    - x_i = x_{i+λ} first holds at i = μ, so `_cycle_entry`'s lockstep
+      stops there and holds O(1) states.
     """
     code = _compile(decode(bits))
     halted, out, steps, state, period = _run_machine(code, budget)
     if halted:
         return Halted(out, steps)
-    if period:  # the saved state, at step steps - period, recurs
-        last = steps - period
-    else:
-        last = budget
+    if not period:
         period = _run_machine(code, budget, state, window=budget)[4]
     if period:
-        mu, at_mu = _cycle_entry(code, period, last, state)
+        mu, at_mu = _cycle_entry(code, period)
         if mu + period <= budget:
             return LoopCert(bits, mu + period, at_mu)
     return Running(budget)

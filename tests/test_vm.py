@@ -450,9 +450,9 @@ def reference_classify(bits, budget):
 
 
 def test_classify_matches_oracle_exhaustively():
-    for program in valid_programs(12):
+    for bits in (bits for length in range(17) for bits in programs(length)):
         for budget in (0, 1, 2, 5, 50):
-            assert classify(program.bits, budget) == reference_classify(program.bits, budget)
+            assert classify(bits, budget) == reference_classify(bits, budget), (bits, budget)
 
 
 def test_classify_matches_oracle_on_random_programs():
@@ -474,20 +474,23 @@ def counter_round_trip(m, k):
 def test_classify_certifies_at_exactly_the_first_revisit():
     # Brent's cycle finding sees a revisit up to ~3 max(mu, lambda) steps
     # late, so the budgets between the first revisit and that point are
-    # where an O(1)-memory classify can go wrong.
+    # where an O(1)-memory classify can go wrong. The round trips with m in
+    # the thousands step the cycle entry search over thousands of states.
     looping = [
         (bits, naive_loop(bits, 500))
         for bits in [
             *(bits for length in range(15) for bits in programs(length)),
             *random_programs(19800701, 5000),
-            *(counter_round_trip(m, k) for m in (1, 2, 5) for k in (0, 1, 3, 8, 20)),
         ]
     ]
     looping = [(bits, loop) for bits, loop in looping if loop is not None]
     assert len(looping) > 200
-    for m in (1, 2, 5):
+    for m in (1, 2, 5, 1000, 2000):
         for k in (0, 1, 3, 8, 20):
-            assert naive_loop(counter_round_trip(m, k), 500)[0] == 3 * m + 4 * k + 2
+            bits = counter_round_trip(m, k)
+            loop = naive_loop(bits, 10_000)
+            assert loop[0] == 3 * m + 4 * k + 2
+            looping.append((bits, loop))
     for bits, (revisit, state) in looping:
         assert classify(bits, revisit) == LoopCert(bits, revisit, state), bits
         assert classify(bits, revisit - 1) == Running(revisit - 1), bits
@@ -509,15 +512,22 @@ def test_classify_leaves_counter_growth_running():
 
 def test_classify_memory_does_not_grow_with_the_budget():
     # no set of visited states: counter growth runs the whole budget (and
-    # the as long again check that no revisit is due) in O(1) states
+    # the as long again check that no revisit is due) in O(1) states, and
+    # the round trip's cycle entry search holds two states over mu = 6008
     runner = assemble([Instruction(Op.INCA), Instruction(Op.DJZB, -2)])
-    tracemalloc.start()
-    try:
-        assert classify(runner.bits, 200_000) == Running(200_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    round_trip = counter_round_trip(2000, 8)
+    revisit, state = naive_loop(round_trip, 10_000)
+    for bits, expected in [
+        (runner.bits, Running(200_000)),
+        (round_trip, LoopCert(round_trip, revisit, state)),
+    ]:
+        tracemalloc.start()
+        try:
+            assert classify(bits, 200_000) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, bits
 
 
 def test_every_simulation_rejects_a_negative_budget():
