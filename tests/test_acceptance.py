@@ -151,7 +151,7 @@ def _decodes(bits):
     return True
 
 
-def test_criterion_07_incompleteness_trend():
+def test_criterion_07_frontier_never_shrinks_as_facts_are_added():
     stages = [
         [],
         ["1"],

@@ -423,7 +423,7 @@ def test_parallel_enumeration_matches_serial():
         assert enumerate_programs(7, 100, workers=workers) == serial
 
 
-def test_the_pool_starts_no_idle_process(monkeypatch):
+def test_the_scan_forks_no_idle_process(monkeypatch):
     # The caller scans too, and there are never more processes than
     # chunks, so N processes fork N - 1 children.
     forks = []
@@ -505,7 +505,7 @@ def _fresh_imports(*argv):
     return done.returncode, done.stdout, {top: sorted(names) for top, names in imported.items()}
 
 
-def test_importing_the_cli_leaves_the_worker_pool_unloaded():
+def test_importing_the_cli_loads_no_layer_and_no_multiprocessing():
     code, _, imported = _fresh_imports("-c", "import omegalab.cli")
     assert code == 0
     assert "concurrent" not in imported and "multiprocessing" not in imported
@@ -589,6 +589,18 @@ def test_each_chunk_is_scanned_once_by_some_process(monkeypatch):
     assert claims == [(n, lo) for n in range(1, 10) for lo in range(0, 1 << n, 3)]
 
 
+def test_process_k_of_n_scans_every_nth_chunk_from_chunk_k(monkeypatch):
+    # Each chunk's scan names the process that scanned it as its one
+    # pending program; 174 chunks of up to 3 strings in three processes.
+    monkeypatch.setattr(enumerator, "SCAN_CHUNK", 3)
+    monkeypatch.setattr(enumerator, "_scan_chunk", lambda chunk: ([], [str(os.getpid())]))
+    scanners = [pending[0] for _, pending in enumerator._scan_lengths(range(1, 9), 10, 3)]
+    assert len(scanners) == 174
+    assert scanners == [scanners[i % 3] for i in range(len(scanners))]
+    assert scanners[0] == str(os.getpid())
+    assert len(set(scanners[:3])) == 3
+
+
 def test_scan_chunks_tile_each_length_in_order(monkeypatch):
     chunks = []
     scan_chunk = enumerator._scan_chunk
@@ -620,7 +632,7 @@ def census_tuples(max_len, budget):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_every_worker_count_builds_the_canonical_tuples(monkeypatch, workers):
-    # Chunks of 7 strings: many per length, claimed by the processes in turn.
+    # Chunks of 7 strings: many per length, dealt out to the processes in turn.
     monkeypatch.setattr(enumerator, "SCAN_CHUNK", 7)
     state = enumerate_programs(10, 100, workers=workers)
     assert (state.records, state.pending) == census_tuples(10, 100)
@@ -721,7 +733,7 @@ def _enumerated(state):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_enumerate_writes_what_save_of_extend_writes(monkeypatch, tmp_path, capsys, workers):
-    # Chunks of 7 strings: many per length, claimed by the processes in turn.
+    # Chunks of 7 strings: many per length, dealt out to the processes in turn.
     monkeypatch.setattr(enumerator, "SCAN_CHUNK", 7)
     streamed, collected = tmp_path / "streamed.ck", tmp_path / "collected.ck"
     w = ("--workers", str(workers))
