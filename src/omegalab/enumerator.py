@@ -28,9 +28,9 @@ records is built beyond one chunk's, which is why chunks are small.
 `load` and `tally` share one reader. It opens a checkpoint once and reads
 it twice, a line at a time: the first read takes the P list and the
 trailer, and the second merges the H lines, in length-lex order, and the P
-list with the walk, handing each H record to `load`, which builds it, or
-to `tally`, which counts it. Only a file the reader refuses is read whole,
-to name its first fault.
+list with the walk. The merge yields the H lines it accepts to one
+consumer: `load` builds their records, `tally` counts them. Only a file
+the reader refuses is read whole, to name its first fault.
 
 The scan still calls `run` once on every bit string, and `run` raises
 InvalidProgram for each one that is not a program; it does not walk
@@ -385,35 +385,38 @@ def _halt_record(fields: list[str], outputs: dict[str, str]) -> HaltRecord:
     return HaltRecord(fields[1], output, int(fields[3]))
 
 
-def _merge(halting: Iterator[str], pending: Iterator[str], max_len: int) -> bool:
-    """Whether two streams of programs in length-lex order list between them
-    each program of the `vm.programs` walk up to `max_len` bits once, and no
-    other. The walk stops at the first program neither lists next, so a
-    trailer that claims more than the streams list costs no more than they."""
-    h, p = next(halting, None), next(pending, None)
-    for program in chain.from_iterable(map(programs, range(1, max_len + 1))):
-        if program == h:
-            h = next(halting, None)
-        elif program == p:
-            p = next(pending, None)
-        else:
-            return False
-    return h is None and p is None
-
-
 class _Refused(Exception):
     """What `_stream` raises at the first thing it does not accept."""
 
 
+_Fields = Iterator[list[str]]  # the fields of H lines, a list per line
 _T = TypeVar("_T")
-_Adder = Callable[[_T, list[str]], object]
-_Census = tuple[int, int, _T, list[str]]  # (max_len, budget, H lines added up, P list)
 
 
-def _stream(fh: TextIO, new: Callable[[], _T], add: _Adder[_T]) -> _Census[_T]:
-    """The census of a checkpoint read twice, a line at a time, where
-    `add(total, fields)` took each H line's fields, in length-lex order,
-    into `total = new()`; _Refused or UnicodeDecodeError at anything else.
+def _merge(halting: Iterable[list[str]], pending: Iterable[str], max_len: int) -> _Fields:
+    """Each H line's fields from `halting`, as the `vm.programs` walk up to
+    `max_len` bits takes them; _Refused unless `halting` and `pending`, each
+    in length-lex order, list between them each program of the walk once,
+    and no other. The walk stops at the first program neither lists next, so
+    a trailer that claims more than the streams list costs no more than they."""
+    halting, pending = iter(halting), iter(pending)
+    h, p = next(halting, None), next(pending, None)
+    for program in chain.from_iterable(map(programs, range(1, max_len + 1))):
+        if h is not None and program == h[1]:
+            yield h
+            h = next(halting, None)
+        elif program == p:
+            p = next(pending, None)
+        else:
+            raise _Refused
+    if h is not None or p is not None:
+        raise _Refused
+
+
+def _stream(fh: TextIO, take: Callable[[_Fields], _T]) -> tuple[int, int, _T, list[str]]:
+    """(max_len, budget, `take` of the merge, P list) of a checkpoint read
+    twice, a line at a time; `take` reads the merge, each H line's fields in
+    length-lex order, to its end. _Refused or UnicodeDecodeError at anything else.
 
     The first read checks the P lines and the trailer, and takes them and
     whether the H lines are in order. The second checks each H line's fields
@@ -463,18 +466,9 @@ def _stream(fh: TextIO, new: Callable[[], _T], add: _Adder[_T]) -> _Census[_T]:
         if fields != trailer or next(lines, None) is not None or next(expected, None) is not None:
             raise _Refused
 
-    total = new()
     held = second_read() if ordered else sorted(second_read(), key=lambda f: _length_lex(f[1]))
-
-    def halting() -> Iterator[str]:
-        for fields in held:
-            add(total, fields)
-            yield fields[1]
-
     runs = pending if _ascending(pending) else sorted(pending, key=_length_lex)
-    if not _merge(halting(), iter(runs), max_len):
-        raise _Refused
-    return max_len, budget, total, runs
+    return max_len, budget, take(_merge(held, runs, max_len)), runs
 
 
 def _reject(source: str | Path) -> None:
@@ -527,14 +521,14 @@ def _reject(source: str | Path) -> None:
             )
 
 
-def _census(source: str | Path, new: Callable[[], _T], add: _Adder[_T]) -> _Census[_T]:
+def _census(source: str | Path, take: Callable[[_Fields], _T]) -> tuple[int, int, _T, list[str]]:
     """`_stream` of the checkpoint at `source`, or the first fault `_reject`
     names in it. A file refused with no fault changed between the reads: it
     is read once more, and refused if it changes again."""
     for _ in range(2):
         try:
             with open(source, encoding="ascii", newline="") as fh:
-                return _stream(fh, new, add)
+                return _stream(fh, take)
         except (_Refused, UnicodeDecodeError):
             _reject(source)
     raise CheckpointError("changed each time it was read")
@@ -551,13 +545,13 @@ def load(source: str | Path) -> EnumState:
     offending line is named. H outputs and steps are not re-run.
 
     The file is read by the reader `tally` uses, twice, a line at a time,
-    and the H records are built in length-lex order as its merge with the
-    walk takes them, so a valid checkpoint is never decoded; equal outputs
-    are stored once. Only a file the reader refuses is read whole.
+    and the H records are built from the lines its merge with the walk
+    yields, in length-lex order, so a valid checkpoint is never decoded;
+    equal outputs are stored once. Only a refused file is read whole.
     """
     outputs: dict[str, str] = {}
     max_len, budget, records, pending = _census(
-        source, list, lambda records, fields: records.append(_halt_record(fields, outputs))
+        source, lambda fields: [_halt_record(f, outputs) for f in fields]
     )
     return EnumState(max_len, budget, tuple(records), tuple(pending))
 
@@ -573,18 +567,16 @@ class Tally:
     pending: int
 
 
-def _count_length(counts: Counter[int], fields: list[str]) -> None:
-    counts[len(fields[1])] += 1
-
-
 def tally(source: str | Path) -> Tally:
     """The census of a checkpoint that `load` accepts, counted: what `load`
     would give, without holding its records.
 
-    The file is read by the reader `load` uses, and the H records are
-    counted by length as the merge takes them; only the P list, and H lines
-    out of length-lex order, are held. A file the reader refuses is read
+    The file is read by the reader `load` uses, and the H lines its merge
+    yields are counted by length; only the P list, and H lines out of
+    length-lex order, are held. A file the reader refuses is read
     whole, and its first fault named as `load` names it.
     """
-    max_len, budget, per_length, pending = _census(source, Counter, _count_length)
+    max_len, budget, per_length, pending = _census(
+        source, lambda fields: Counter(len(f[1]) for f in fields)
+    )
     return Tally(max_len, budget, tuple(per_length[k] for k in range(max_len + 1)), len(pending))

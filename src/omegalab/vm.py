@@ -383,11 +383,17 @@ def _advance(
 
 def _cycle_entry(code: list[tuple[int, int]], period: int) -> tuple[int, tuple[int, int, int]]:
     """(μ, x_μ): the first step whose state recurs `period` steps later, by
-    Brent's second phase: x from x_0 and y from x_λ step in lockstep until
-    they agree, after μ steps each."""
-    mu, x, y = 0, _START, _advance(code, _START, period)
+    Brent's second phase: x from x_0 and y from x_λ move in lockstep until
+    they agree, after μ steps each. They move by a stride that doubles while
+    the moved pair still differs and halves once it would agree, down to 1:
+    O(log μ) `_advance` calls, O(μ) steps."""
+    mu, x, y, stride = 0, _START, _advance(code, _START, period), 1
     while x != y:
-        mu, x, y = mu + 1, _advance(code, x, 1), _advance(code, y, 1)
+        nx, ny = _advance(code, x, stride), _advance(code, y, stride)
+        if nx == ny and stride > 1:
+            stride //= 2  # past x_μ: the pair stays, the stride shrinks
+        else:
+            mu, x, y, stride = mu + stride, nx, ny, 2 * stride
     return mu, x
 
 
@@ -433,8 +439,8 @@ def classify(bits: str, budget: int) -> Halted | LoopCert | Running:
       If the budget runs out first and μ + λ <= budget, x_budget is on the
       cycle and recurs λ steps later, so one more pass of `budget` steps,
       compared with x_budget, finds λ whenever a certificate is due.
-    - x_i = x_{i+λ} first holds at i = μ, so `_cycle_entry`'s lockstep
-      stops there and holds O(1) states.
+    - x_i = x_{i+λ} holds from i = μ on and never before, so the strides
+      of `_cycle_entry`'s lockstep close in on μ and hold O(1) states.
     """
     code = _compile(decode(bits))
     halted, out, steps, state, period = _run_machine(code, budget)

@@ -144,6 +144,32 @@ def test_checkpoint_records_must_fit_the_frontier(tmp_path, capsys, records, mes
     assert message in err
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: records are not re-run")
+@pytest.mark.parametrize(
+    "max_len, budget, line, forged",
+    [
+        (1, 10, "H 1 - 0", "P 1"),  # the empty program halts at step 0 ...
+        (1, 10, "H 1 - 0", "H 1 1 0"),  # ... with no output
+        (10, 100, "P 0101110010", "H 0101110010 - 0"),  # it does not halt within 100 steps
+    ],
+)
+def test_omega_refuses_a_record_its_run_contradicts(
+    tmp_path, capsys, max_len, budget, line, forged
+):
+    # Each forged census is accepted today: omega prints OMEGA >= 0/1, 1/2
+    # and 743/1024, where the true censuses give 1/2, 1/2 and 371/512.
+    ck = tmp_path / "c.ck"
+    argv = ("--max-len", str(max_len), "--budget", str(budget), "--checkpoint", str(ck))
+    assert invoke(capsys, "enumerate", *argv)[0] == 0
+    lines = ck.read_text().splitlines()
+    num = lines.index(line) + 1
+    lines[num - 1] = forged
+    ck.write_text("\n".join(lines) + "\n")
+    code, out, err = invoke(capsys, "omega", "--checkpoint", str(ck))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"omegalab: error: {ck}: line {num}: ")
+
+
 def test_omega_missing_checkpoint(tmp_path, capsys):
     code, _, err = invoke(capsys, "omega", "--checkpoint", str(tmp_path / "nope.ck"))
     assert code == 2

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from omegalab.enumerator import (
     tally,
 )
 from omegalab.omega import format_report, from_state
-from omegalab.vm import run
+from omegalab.vm import programs, run
 
 from naive_vm import naive_census, naive_reason
 
@@ -716,6 +717,34 @@ def test_load_names_the_first_of_two_faults(tmp_path, lines, message):
     with pytest.raises(CheckpointError) as caught:
         load(path)
     assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("H 1 - 0\nFRONTIER 400 10", "line 3: FRONTIER length 400 but program 01000 is not listed"),
+        ("H 1 - 0\nP 00100\nFRONTIER 400 10", "line 3: 00100 is not a program (Truncated)"),
+    ],
+)
+def test_a_far_frontier_is_refused_at_the_first_program_not_listed(
+    tmp_path, monkeypatch, lines, message
+):
+    # Every program up to 400 bits could never be walked: the merge, and
+    # then the reader that names the fault, stop at 01000, the first
+    # program after 1, which no line lists.
+    def walk(length):
+        assert length <= 16, "the walk went on past the first program not listed"
+        return programs(length)
+
+    monkeypatch.setattr(enumerator, "programs", walk)
+    path = tmp_path / "far.ck"
+    path.write_text(f"{CHECKPOINT_MAGIC}\n{lines}\n")
+    for read in (load, tally):
+        start = time.perf_counter()
+        with pytest.raises(CheckpointError) as caught:
+            read(path)
+        assert time.perf_counter() - start < 0.5
+        assert str(caught.value) == message
 
 
 # --- the streamed census: `enumerate` writes an Extension, `omega` tallies ---

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from omegalab import vm
 from omegalab.vm import (
     Halted,
     Instruction,
@@ -496,6 +497,22 @@ def test_classify_certifies_at_exactly_the_first_revisit():
         assert classify(bits, revisit - 1) == Running(revisit - 1), bits
         for budget in (0, 1, 2, 3, 5, 8, 50, 500):
             assert classify(bits, budget) == reference_classify(bits, budget), (bits, budget)
+
+
+def test_the_cycle_entry_search_takes_strides(monkeypatch):
+    # mu = 6008: strides that double and halve reach it in O(log mu)
+    # step-loop calls, where single steps would make two a step.
+    bits = counter_round_trip(2000, 8)
+    calls = []
+    step_loop = vm._run_machine
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return step_loop(*args, **kwargs)
+
+    monkeypatch.setattr(vm, "_run_machine", counted)
+    assert classify(bits, 6034) == LoopCert(bits, *naive_loop(bits, 10_000))
+    assert len(calls) <= 200, len(calls)
 
 
 def test_classify_halts_by_fall_off_at_exactly_the_budget():
