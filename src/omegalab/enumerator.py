@@ -102,6 +102,8 @@ class EnumState:
     pending: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if self.max_len_done < 0 or self.budget < 0:
+            raise ValueError("max_len_done and budget must be >= 0")
         if not isinstance(self.records, tuple) or not isinstance(self.pending, tuple):
             raise TypeError("records and pending must be tuples")
         if not _ascending(map(_program, self.records)) or not _ascending(self.pending):

@@ -397,13 +397,8 @@ def _cycle_entry(code: list[tuple[int, int]], period: int) -> tuple[int, tuple[i
     return mu, x
 
 
-def execute(program: Program, budget: int) -> Halted | Running:
-    halted, out, steps, _, _ = _run_machine(_compile(program), budget)
-    return Halted(out, steps) if halted else Running(budget)
-
-
 def run(bits: str, budget: int) -> Halted | Running:
-    """Decode and execute: Halted(output, steps) or Running(budget).
+    """Decode and run: Halted(output, steps) or Running(budget).
 
     Counters start at zero, output empty. Executing an instruction costs
     one step; halting by falling off the end costs none, so the empty
@@ -412,7 +407,8 @@ def run(bits: str, budget: int) -> Halted | Running:
     a control state (pc, A, B) came back, which proves it never halts, and
     the run stopped there.
     """
-    return execute(decode(bits), budget)
+    halted, out, steps, _, _ = _run_machine(_compile(decode(bits)), budget)
+    return Halted(out, steps) if halted else Running(budget)
 
 
 def stream_output(bits: str, budget: int, want_bits: int) -> str:

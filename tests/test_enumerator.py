@@ -693,6 +693,19 @@ def test_a_state_takes_only_tuples():
         EnumState(1, 10, (record,), frozenset())
 
 
+@pytest.mark.parametrize("max_len_done, budget", [(-1, 10), (1, -1)])
+def test_a_state_takes_no_negative_frontier(max_len_done, budget):
+    # save would write its FRONTIER trailer, and load refuses that trailer.
+    with pytest.raises(ValueError, match="^max_len_done and budget must be >= 0$"):
+        EnumState(max_len_done, budget, (), ())
+
+
+@pytest.mark.parametrize("max_len, budget", [(-1, 10), (1, -1)])
+def test_enumerate_programs_names_its_own_arguments(max_len, budget):
+    with pytest.raises(ValueError, match="^max_len, budget must be >= 0$"):
+        enumerate_programs(max_len, budget)
+
+
 # (the lines after the header, the message): files with two faults, where
 # the documented order names one of them. More are among the records past
 # the frontier above.
@@ -911,6 +924,7 @@ SECOND_READS = {
     "another census": lambda text: canonical_text(10, 1000),
     "a larger census": lambda text: canonical_text(11, 100),
     "the same census": lambda text: text,
+    "header changed": lambda text: text.replace("OMEGALAB v1", "OMEGALAB v2", 1),
 }
 
 

@@ -24,7 +24,8 @@ PUBLIC = {
     ),
     "vm": (
         "Halted", "Instruction", "InvalidProgram", "LoopCert", "Op", "Program", "Running",
-        "decode", "gamma_encode", "literal_program", "run",
+        "classify", "decode", "gamma_encode", "literal_program", "programs", "run",
+        "stream_output",
     ),
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]

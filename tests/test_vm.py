@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 import tracemalloc
@@ -461,6 +462,18 @@ def test_classify_matches_oracle_on_random_programs():
         assert classify(bits, 500) == reference_classify(bits, 500), bits
 
 
+def test_run_is_classify_with_a_certificate_read_as_running():
+    # run and classify share one step loop and differ only in where they
+    # stop: a revisit is a certificate to classify and Running to run
+    shapes = (bits for length in range(17) for bits in programs(length))
+    for bits in itertools.chain(shapes, random_programs(20050503, 2000)):
+        for budget in (0, 1, 2, 5, 50, 1000):
+            expected = classify(bits, budget)
+            if isinstance(expected, LoopCert):
+                expected = Running(budget)
+            assert run(bits, budget) == expected, (bits, budget)
+
+
 def counter_round_trip(m, k):
     """INCA m + k times, then a cycle: drain A two steps per unit, with
     B = 0 making DJZB an unconditional jump, then k INCAs again. The first
@@ -545,6 +558,21 @@ def test_classify_memory_does_not_grow_with_the_budget():
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, bits
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: run stops at a growth certificate")
+def test_run_memory_does_not_grow_with_the_budget():
+    # INCA; EMIT0; DJZB(-3) grows A and prints a 0 each round: no control
+    # state recurs, so run goes to the budget and holds all it printed
+    peaks = []
+    for budget in (30_000, 300_000):
+        tracemalloc.start()
+        try:
+            assert run("00100110001111100110", budget) == Running(budget)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 * 1024, peaks
 
 
 def test_every_simulation_rejects_a_negative_budget():
